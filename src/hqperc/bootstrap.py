@@ -26,7 +26,6 @@ from .hypercube import (
     DomainError,
     VertexSet,
     check_dimension,
-    format_vertex,
     neighbors,
 )
 
@@ -168,12 +167,13 @@ class InfectionTrace:
     percolated: bool
 
     def to_json(self) -> dict:
+        # rounds are nested, so the last one names every vertex that appears
+        fmt = f"0{self.d}b"
+        names = {v: format(v, fmt)[::-1] for v in self.rounds[-1]}
         return {
             "d": self.d,
             "r": self.r,
-            "rounds": [
-                [format_vertex(v, self.d) for v in stage] for stage in self.rounds
-            ],
+            "rounds": [list(map(names.__getitem__, stage)) for stage in self.rounds],
             "percolated": self.percolated,
         }
 
@@ -306,12 +306,13 @@ def search_percolating_set(
     else:
         chunk = -(-total // (nworkers * 4))
         starts = list(range(0, total, chunk))
-        found = None
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            jobs = [(d, r, size, s, min(chunk, total - s)) for s in starts]
-            for result in pool.map(_scan_chunk, *zip(*jobs)):
-                if result is not None:
-                    found = result
+            jobs = [pool.submit(_scan_chunk, d, r, size, s, min(chunk, total - s))
+                    for s in starts]
+            for job in jobs:
+                found = job.result()
+                if found is not None:
+                    pool.shutdown(cancel_futures=True)
                     break
     if found is None:
         return None

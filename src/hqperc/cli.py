@@ -3,8 +3,8 @@
 Subcommands: verify, construct, closure, meta-verify, bound, table, search.
 Exit codes are a stable contract: 0 success (or: percolates / witness
 found), 1 definite negative, 2 usage or parse error, 3 resource cap
-(search past its budget, or verification requested above the simulation
-cap).  Identical inputs produce byte-identical outputs.
+(search past its budget, verification requested above the simulation
+cap, or memory exhausted).  Identical inputs produce byte-identical outputs.
 
 The HQPERC_THREADS environment variable overrides the worker count used to
 partition exhaustive searches (default: hardware parallelism).
@@ -34,6 +34,7 @@ from .hypercube import (
     D_MAX,
     DomainError,
     FormatError,
+    format_members,
     format_vertex_set,
     load_vertex_set,
 )
@@ -67,28 +68,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if full else EXIT_NEGATIVE
 
 
-def _member_lines(members, d: int) -> str:
-    lines = [f"# expected-size: {len(members)}"]
-    lines.extend(format(m, f"0{d}b")[::-1] for m in members)
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_construct(args) -> int:
+    members = construct_members(args.d, args.r)
+    recipe = construct_recipe(args.d, args.r)
     verified = False
-    if args.d <= D_MAX:
-        seed, recipe = construct(args.d, args.r)
-        text = format_vertex_set(seed)
-        if args.verify:
-            if not percolates(seed, args.r):
-                print("verification failed", file=sys.stderr)
-                return EXIT_NEGATIVE
-            verified = True
-    else:
-        members = construct_members(args.d, args.r)
-        recipe = construct_recipe(args.d, args.r)
-        text = _member_lines(members, args.d)
+    if args.verify and args.d <= D_MAX:
+        if not percolates(construct(args.d, args.r)[0], args.r):
+            print("verification failed", file=sys.stderr)
+            return EXIT_NEGATIVE
+        verified = True
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(format_members(args.d, members))
     if args.recipe:
         _write_json(
             args.recipe,
@@ -275,18 +265,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (FormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchAborted as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def run() -> None:

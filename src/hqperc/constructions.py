@@ -36,6 +36,7 @@ from .hypercube import (
     D_MAX,
     DomainError,
     VertexSet,
+    _bits_of,
     parse_vertex_set,
 )
 from .meta import Labeling, meta_percolates, parse_labeling
@@ -319,10 +320,10 @@ def product_construction(
                 raise ProductPreconditionError(
                     "a", f"part {i} does not percolate at threshold {i}"
                 )
-    bits = 0
-    for x, label in enumerate(labeling.labels):
-        if label == 0:
-            continue
-        for m in parts[label - 1]:
-            bits |= 1 << ((m << k) | x)
-    return VertexSet(d, bits)
+    blocks = [tuple(s) for s in parts]
+    members = (
+        (m << k) | x
+        for x, label in enumerate(labeling.labels) if label
+        for m in blocks[label - 1]
+    )
+    return VertexSet(d, _bits_of(d, members))

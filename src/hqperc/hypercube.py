@@ -15,6 +15,7 @@ makes a file self-checking.  Duplicate vertices are rejected.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -80,11 +81,27 @@ def parse_vertex(text: str, d: int | None = None) -> int:
     return int(text[::-1], 2)
 
 
+_NONZERO_RUNS = re.compile(rb"[^\x00]+")
+_BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def _iter_bits(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """Set bit positions in ascending order; the regex skips zero bytes in C."""
+    buf = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    for run in _NONZERO_RUNS.finditer(buf):
+        base = run.start() * 8
+        for byte in run.group():
+            for i in _BYTE_OFFSETS[byte]:
+                yield base + i
+            base += 8
+
+
+def _bits_of(d: int, vertices: Iterable[int]) -> int:
+    """The 2^d-bit state whose set bits are the given vertices (validated by the caller)."""
+    buf = bytearray(((1 << d) + 7) // 8)
+    for v in vertices:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
 
 
 class VertexSet:
@@ -112,11 +129,8 @@ class VertexSet:
 
     @classmethod
     def of(cls, d: int, vertices: Iterable[int]) -> "VertexSet":
-        bits = 0
-        for v in vertices:
-            check_vertex(v, d)
-            bits |= 1 << v
-        return cls(d, bits)
+        check_dimension(d)
+        return cls(d, _bits_of(d, (check_vertex(v, d) for v in vertices)))
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -194,13 +208,8 @@ def layer(d: int, w: int) -> VertexSet:
     check_dimension(d)
     if not 0 <= w <= d:
         raise DomainError(f"layer {w} out of range for dimension {d}")
-    bits = 0
-    for coords in itertools.combinations(range(d), w):
-        v = 0
-        for i in coords:
-            v |= 1 << i
-        bits |= 1 << v
-    return VertexSet(d, bits)
+    combos = itertools.combinations(range(d), w)
+    return VertexSet(d, _bits_of(d, (sum(1 << i for i in c) for c in combos)))
 
 
 def prefix_embed(s: VertexSet, x: int, d: int) -> VertexSet:
@@ -214,10 +223,7 @@ def prefix_embed(s: VertexSet, x: int, d: int) -> VertexSet:
     if not 1 <= k < d:
         raise DomainError(f"cannot embed a Q_{s.d} set into Q_{d}")
     check_vertex(x, k)
-    bits = 0
-    for m in s:
-        bits |= 1 << ((m << k) | x)
-    return VertexSet(d, bits)
+    return VertexSet(d, _bits_of(d, ((m << k) | x for m in s)))
 
 
 @dataclass(frozen=True)
@@ -284,10 +290,7 @@ def apply_automorphism(a: Automorphism, s: VertexSet) -> VertexSet:
     """Relabel every member of s through the automorphism a."""
     if a.d != s.d:
         raise DomainError(f"dimension mismatch: {a.d} != {s.d}")
-    bits = 0
-    for v in s:
-        bits |= 1 << a.apply(v)
-    return VertexSet(s.d, bits)
+    return VertexSet(s.d, _bits_of(s.d, (a.apply(v) for v in s)))
 
 
 _SIZE_DIRECTIVE = "# expected-size:"
@@ -295,7 +298,7 @@ _SIZE_DIRECTIVE = "# expected-size:"
 
 def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
     """Parse the line-based vertex-set format; raises FormatError with line numbers."""
-    bits = 0
+    buf = None
     dim = d
     expected: int | None = None
     count = 0
@@ -322,24 +325,31 @@ def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
             v = parse_vertex(line, dim)
         except FormatError as exc:
             raise FormatError(str(exc), lineno) from None
-        if (bits >> v) & 1:
+        if buf is None:
+            buf = bytearray(((1 << check_dimension(dim)) + 7) // 8)
+        mask = 1 << (v & 7)
+        if buf[v >> 3] & mask:
             raise FormatError(f"duplicate vertex {line}", lineno)
-        bits |= 1 << v
+        buf[v >> 3] |= mask
         count += 1
     if dim is None:
         raise FormatError("no vertices and no dimension given")
     if expected is not None and expected != count:
         raise FormatError(f"expected-size {expected} but found {count} vertices")
-    return VertexSet(dim, bits)
+    return VertexSet(dim, int.from_bytes(buf or b"", "little"))
+
+
+def format_members(d: int, members, header: bool = True) -> str:
+    """Render ascending vertex indices of Q_d in the text format; d may exceed D_MAX."""
+    fmt = f"0{d}b"
+    lines = [f"# expected-size: {len(members)}"] if header else []
+    lines.extend(format(v, fmt)[::-1] for v in members)
+    return "\n".join(lines) + "\n"
 
 
 def format_vertex_set(s: VertexSet, header: bool = True) -> str:
     """Render a vertex set in the text format, vertices in ascending index order."""
-    lines = []
-    if header:
-        lines.append(f"# expected-size: {len(s)}")
-    lines.extend(format_vertex(v, s.d) for v in s)
-    return "\n".join(lines) + "\n"
+    return format_members(s.d, s, header)
 
 
 def load_vertex_set(path, d: int | None = None) -> VertexSet:

@@ -231,6 +231,11 @@ def test_search_parallel_path_matches_sequential(monkeypatch):
     parallel = search_percolating_set(3, 2, 2, workers=2)
     assert sequential == parallel
     assert search_percolating_set(3, 3, 3, workers=2) is None
+    witness = search_percolating_set(4, 3, 6, workers=2)
+    assert witness == search_percolating_set(4, 3, 6, workers=1) == VertexSet.of(
+        4, [0, 3, 5, 10, 12, 15]
+    )
+    assert search_percolating_set(4, 3, 5, workers=2) is None
 
 
 def test_trace_json_shape():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import hqperc.cli as cli
 from hqperc import format_labeling, format_vertex_set, catalog_labeling, catalog_seed
 from hqperc.cli import main
 
@@ -158,6 +160,36 @@ def test_closure_command(capsys, tmp_path):
     assert "percolates: yes" in out
     data_lines = [l for l in closure_path.read_text().splitlines() if not l.startswith("#")]
     assert len(data_lines) == 8
+
+
+def test_closure_trace_and_out_bytes_are_pinned(capsys, seed10_file, tmp_path):
+    # the trace and closure file bytes are a contract: pin them by digest
+    trace_path = tmp_path / "trace.json"
+    out_path = tmp_path / "closure.set"
+    code, out, _ = run(
+        capsys, "closure", "--set", seed10_file, "--d", "10", "--r", "4",
+        "--trace", str(trace_path), "--out", str(out_path),
+    )
+    assert code == 0
+    assert "rounds: 79" in out
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
+        "873245f4e995115f9e91ec66eeaea2521ccdfbf154479b4de8e1a1a8efdbd6e1"
+    )
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "ea524ee66c97e1f64a027866ed470d95bb6ec2dd761e9ddaad940751fd3e95db"
+    )
+
+
+def test_memory_exhaustion_exits_3(capsys, monkeypatch, tmp_path):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "closure_rounds", exhausted)
+    path = tmp_path / "seed.set"
+    path.write_text("000\n")
+    code, out, err = run(capsys, "closure", "--set", str(path), "--d", "3", "--r", "2")
+    assert code == 3
+    assert out == "" and err == "error: out of memory\n"
 
 
 def test_closure_command_non_percolating_still_succeeds(capsys, tmp_path):

@@ -176,6 +176,29 @@ def test_vertex_set_basics():
     assert VertexSet.full(3).is_full()
 
 
+def test_vertex_set_iteration_is_the_ascending_bit_scan():
+    rng = random.Random(5)
+    boundary = [0, 7, 8, 15, 16, (1 << 20) - 1]
+    cases = [
+        VertexSet.empty(20),
+        VertexSet.full(20),
+        VertexSet(20, rng.getrandbits(1 << 20)),
+        VertexSet.of(20, rng.sample(range(1 << 20), 50)),
+        VertexSet.of(20, boundary),
+        VertexSet.of(4, [7, 8, 15]),
+        VertexSet.full(1),
+        VertexSet.full(3),
+        VertexSet(12, rng.getrandbits(1 << 12)),
+    ]
+    for s in cases:
+        expected = [v for v, c in enumerate(bin(s.bits)[:1:-1]) if c == "1"]
+        assert list(s) == expected
+        if s.d <= 12:
+            assert expected == [v for v in range(1 << s.d) if s.bits >> v & 1]
+        assert VertexSet.of(s.d, expected) == s
+    assert VertexSet.of(20, boundary + boundary).bits == sum(1 << v for v in boundary)
+
+
 def test_vertex_set_dimension_checks():
     with pytest.raises(DomainError):
         VertexSet.of(2, [4])
@@ -197,6 +220,10 @@ def test_parse_vertex_set_round_trip():
     s = VertexSet.of(5, [0, 9, 29, 31])
     assert parse_vertex_set(format_vertex_set(s)) == s
     assert parse_vertex_set(format_vertex_set(s, header=False), d=5) == s
+    full = VertexSet.full(20)
+    text = format_vertex_set(full)
+    assert text.count("\n") == (1 << 20) + 1
+    assert parse_vertex_set(text) == full
 
 
 def test_parse_vertex_set_features_and_errors():
@@ -207,6 +234,11 @@ def test_parse_vertex_set_features_and_errors():
     with pytest.raises(FormatError) as err:
         parse_vertex_set("101\n101\n")
     assert "line 2" in str(err.value) and "duplicate" in str(err.value)
+
+    # vertices 7 and 8 sit on either side of a byte boundary of the state
+    with pytest.raises(FormatError) as err:
+        parse_vertex_set("11100000\n00010000\n# note\n\n00010000\n11100000\n")
+    assert str(err.value) == "line 5: duplicate vertex 00010000"
 
     with pytest.raises(FormatError) as err:
         parse_vertex_set("101\n01\n")

@@ -9,8 +9,10 @@ one big integer, the neighbour image along coordinate i is produced by
 swapping the two half-lanes of the state along that coordinate, and the
 per-vertex neighbour counts accumulate in ceil(log2(r+1)) bit planes of a
 saturating binary counter, giving O(d * 2^d / w) word operations per round.
-A naive per-vertex rescan engine is kept as an independent reference; the
-two must agree on every input.
+One generator, ``_rounds``, runs that round to the fixed point; closure,
+trace and the exhaustive search all consume it, and the meta process calls
+the same round on its level sets.  A naive per-vertex rescan engine is
+kept as an independent reference; the two must agree on every input.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .hypercube import (
     D_MAX,
@@ -75,11 +78,7 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     return _build_masks(d)
 
 
-def _plane_count(r: int) -> int:
-    planes = 1
-    while (1 << planes) < r + 1:
-        planes += 1
-    return planes
+_plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
 
 
 def _round_bits(bits: int, d: int, r: int, masks, full: int) -> int:
@@ -111,38 +110,33 @@ def _round_bits(bits: int, d: int, r: int, masks, full: int) -> int:
     return bits | ge | eq
 
 
-def _close_bits(bits: int, d: int, r: int) -> int:
-    masks, full = _masks_for(d)
+def _rounds(bits: int, d: int, r: int, masks, full: int) -> Iterator[int]:
+    """Yield each strictly larger state after bits, up to the fixed point."""
     while True:
         new = _round_bits(bits, d, r, masks, full)
         if new == bits:
-            return bits
+            return
+        yield new
         bits = new
-
-
-def closure(a0: VertexSet, r: int) -> VertexSet:
-    """The unique fixed point of the synchronous r-neighbour update containing a0."""
-    _check_threshold(r, a0.d)
-    return VertexSet(a0.d, _close_bits(a0.bits, a0.d, r))
-
-
-def percolates(a0: VertexSet, r: int) -> bool:
-    """True iff the closure of a0 is all of Q_d."""
-    return closure(a0, r).is_full()
 
 
 def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
     """The closure plus the number of strictly growing rounds it took."""
     _check_threshold(r, a0.d)
-    masks, full = _masks_for(a0.d)
-    bits = a0.bits
-    rounds = 0
-    while True:
-        new = _round_bits(bits, a0.d, r, masks, full)
-        if new == bits:
-            return VertexSet(a0.d, bits), rounds
-        bits = new
-        rounds += 1
+    bits, rounds = a0.bits, 0
+    for rounds, bits in enumerate(_rounds(a0.bits, a0.d, r, *_masks_for(a0.d)), 1):
+        pass
+    return VertexSet(a0.d, bits), rounds
+
+
+def closure(a0: VertexSet, r: int) -> VertexSet:
+    """The unique fixed point of the synchronous r-neighbour update containing a0."""
+    return closure_rounds(a0, r)[0]
+
+
+def percolates(a0: VertexSet, r: int) -> bool:
+    """True iff the closure of a0 is all of Q_d."""
+    return closure(a0, r).is_full()
 
 
 def step(a: VertexSet, r: int) -> VertexSet:
@@ -181,17 +175,9 @@ class InfectionTrace:
 def trace(a0: VertexSet, r: int) -> InfectionTrace:
     """Run the process round by round, recording every intermediate state."""
     _check_threshold(r, a0.d)
-    masks, full = _masks_for(a0.d)
     d = a0.d
-    bits = a0.bits
-    rounds = [a0]
-    while True:
-        new = _round_bits(bits, d, r, masks, full)
-        if new == bits:
-            break
-        bits = new
-        rounds.append(VertexSet(d, bits))
-    return InfectionTrace(d, r, tuple(rounds), bits == full)
+    rounds = (a0, *(VertexSet(d, bits) for bits in _rounds(a0.bits, d, r, *_masks_for(d))))
+    return InfectionTrace(d, r, rounds, rounds[-1].is_full())
 
 
 def reference_closure(a0: VertexSet, r: int) -> VertexSet:
@@ -248,13 +234,9 @@ def _scan_chunk(d: int, r: int, size: int, start: int, count: int) -> tuple[int,
         bits = 0
         for v in members:
             bits |= 1 << v
-        state = bits
-        while True:
-            new = _round_bits(state, d, r, masks, full)
-            if new == state:
-                break
-            state = new
-        if state == full:
+        for bits in _rounds(bits, d, r, masks, full):
+            pass
+        if bits == full:
             return tuple(members)
         # advance to the next combination in lexicographic order
         i = size - 1

@@ -52,17 +52,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _close(seed, r: int, trace_path: str | None):
+    """The closure and its round count; with a trace path, also write the trace JSON."""
+    if not trace_path:
+        return closure_rounds(seed, r)
+    history = trace(seed, r)
+    _write_json(trace_path, history.to_json())
+    return history.rounds[-1], len(history.rounds) - 1
+
+
 def _cmd_verify(args) -> int:
     seed = load_vertex_set(args.set, args.d)
     print(f"cardinality: {len(seed)}")
-    if args.trace:
-        history = trace(seed, args.r)
-        _write_json(args.trace, history.to_json())
-        rounds = len(history.rounds) - 1
-        full = history.percolated
-    else:
-        closed, rounds = closure_rounds(seed, args.r)
-        full = closed.is_full()
+    closed, rounds = _close(seed, args.r, args.trace)
+    full = closed.is_full()
     print(f"rounds: {rounds}")
     print(f"percolates: {'yes' if full else 'no'}")
     return EXIT_OK if full else EXIT_NEGATIVE
@@ -101,13 +104,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_closure(args) -> int:
     seed = load_vertex_set(args.set, args.d)
-    if args.trace:
-        history = trace(seed, args.r)
-        _write_json(args.trace, history.to_json())
-        closed = history.rounds[-1]
-        rounds = len(history.rounds) - 1
-    else:
-        closed, rounds = closure_rounds(seed, args.r)
+    closed, rounds = _close(seed, args.r, args.trace)
     print(f"seed cardinality: {len(seed)}")
     print(f"rounds: {rounds}")
     print(f"closure cardinality: {len(closed)}")
@@ -142,33 +139,23 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _table_cap(d: int, r: int) -> int:
-    if r == 4:
-        return bounds.upper_bound_m4(d)
-    if r == 3:
-        return bounds.formula_m3(d)
-    if r == 2:
-        return bounds.formula_m2(d)
-    return 1
-
-
 def _cmd_table(args) -> int:
     if args.dmax > SIZE_CAP:
         print(f"--dmax must be at most {SIZE_CAP}", file=sys.stderr)
         return EXIT_USAGE
-    d_min = {1: 1, 2: 2, 3: 3, 4: 4}[args.r]
-    if args.dmax < d_min:
-        print(f"--dmax must be at least {d_min} for r={args.r}", file=sys.stderr)
+    if args.dmax < args.r:
+        print(f"--dmax must be at least {args.r} for r={args.r}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    for d in range(d_min, args.dmax + 1):
+    for d in range(args.r, args.dmax + 1):
         report = bounds.bound_report(d, args.r)
         rows.append(
             {
                 "d": d,
                 "lower": report.lower,
                 "construction": report.upper,
-                "cap": _table_cap(d, args.r),
+                # below r = 4 the construction is the exact minimum
+                "cap": bounds.upper_bound_m4(d) if args.r == 4 else report.upper,
                 "exact": report.gap == 0,
             }
         )

@@ -57,8 +57,6 @@ CATALOG_HISTOGRAMS = {
     12: (55, 33, 9, 1),
 }
 
-_MIN_D = {1: 1, 2: 2, 3: 3, 4: 4}
-
 
 class ProductPreconditionError(DomainError):
     """A product-construction ingredient fails condition (a), (b) or (c)."""
@@ -160,8 +158,8 @@ def _check_build_args(d: int, r: int) -> None:
         raise DomainError(f"threshold must be a positive integer, got {r!r}")
     if r > 4:
         raise DomainError(f"not implemented for r > 4 (got r={r})")
-    if not isinstance(d, int) or isinstance(d, bool) or d < _MIN_D[r]:
-        raise DomainError(f"threshold {r} needs dimension >= {_MIN_D[r]}, got {d}")
+    if not isinstance(d, int) or isinstance(d, bool) or d < r:
+        raise DomainError(f"threshold {r} needs dimension >= {r}, got {d}")
     if d > SIZE_CAP:
         raise DomainError(f"dimension too large: {d} > {SIZE_CAP}")
 

@@ -13,6 +13,13 @@ Labels never decrease, so the process reaches a fixed point, and the fixed
 point is the same under any fair update order.  A labeling percolates when
 the fixed point assigns r everywhere.
 
+A sweep runs on the level sets H_t = {v : label >= t}, t = 1..r, with the
+bootstrap round: v's r-th highest neighbour label is >= t iff v has r
+neighbours in H_t, so promotion is the r-neighbour round of each H_t.
+Completion adds to every level the union over c = 0..r-1 of H_c (H_0 = Q_k)
+and the (r-c)-neighbour round of H_r.  The new label of v counts the levels
+holding it.  _rule_result keeps the per-vertex rules as the reference.
+
 Labeling text format: lines ``<k-bit string> <label>``; '#' starts a
 comment; unlisted vertices default to label 0; duplicate vertices and
 labels above r are rejected.  The directives ``# expected-size: N`` (number
@@ -25,7 +32,11 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hypercube import DomainError, FormatError, check_dimension, format_vertex, parse_vertex
+from .bootstrap import _masks_for, _round_bits
+from .hypercube import (
+    DomainError, FormatError, _bits_of, _iter_bits, check_dimension, check_vertex,
+    format_vertex, parse_vertex,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,15 +54,15 @@ class Labeling:
 
     def __post_init__(self):
         check_dimension(self.k)
-        if not isinstance(self.r, int) or self.r < 1:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise DomainError(f"threshold must be a positive integer, got {self.r!r}")
         if len(self.labels) != 1 << self.k:
             raise DomainError(
                 f"expected {1 << self.k} labels for Q_{self.k}, got {len(self.labels)}"
             )
         for v, lab in enumerate(self.labels):
-            if not 0 <= lab <= self.r:
-                raise DomainError(f"label {lab} at vertex {v} outside 0..{self.r}")
+            if type(lab) is not int or not 0 <= lab <= self.r:
+                raise DomainError(f"label {lab!r} at vertex {v} not an integer in 0..{self.r}")
 
     @classmethod
     def constant(cls, k: int, r: int, label: int = 0) -> "Labeling":
@@ -60,9 +71,9 @@ class Labeling:
     @classmethod
     def of(cls, k: int, r: int, assignments: dict[int, int]) -> "Labeling":
         """Build from a sparse vertex -> label map; unlisted vertices get 0."""
-        labels = [0] * (1 << k)
+        labels = [0] * (1 << check_dimension(k))
         for v, lab in assignments.items():
-            labels[v] = lab
+            labels[check_vertex(v, k)] = lab
         return cls(k, r, tuple(labels))
 
     def histogram(self) -> tuple[int, ...]:
@@ -95,34 +106,52 @@ def _rule_result(labels: Sequence[int], k: int, r: int, v: int, rule: int) -> in
     raise DomainError(f"unknown rule {rule!r}; use COMPLETION (1) or PROMOTION (2)")
 
 
+def _levels(labeling: Labeling) -> list[int]:
+    """The level sets H_1..H_r as 2^k-bit states: H_t holds the vertices labelled >= t."""
+    k, labels = labeling.k, labeling.labels
+    return [
+        _bits_of(k, (v for v, lab in enumerate(labels) if lab >= t))
+        for t in range(1, labeling.r + 1)
+    ]
+
+
+def _from_levels(levels: list[int], k: int, r: int) -> Labeling:
+    labels = [0] * (1 << k)
+    for h in levels:
+        for v in _iter_bits(h):
+            labels[v] += 1
+    return Labeling(k, r, tuple(labels))
+
+
+def _sweep(levels: list[int], k: int, r: int, masks, full: int) -> list[int]:
+    """One synchronous sweep of both rules on the level sets."""
+    top = levels[-1]
+    completed = 0
+    for c, h in enumerate([full, *levels[:-1]]):
+        completed |= h & _round_bits(top, k, r - c, masks, full)
+    return [_round_bits(h, k, r, masks, full) | completed for h in levels]
+
+
 def meta_step(labeling: Labeling) -> Labeling:
     """Apply both rules simultaneously to every vertex once (synchronous sweep).
 
     When both rules apply to one vertex the completion rule wins; it assigns
     label r, which dominates any promotion outcome.
     """
-    k, r, labels = labeling.k, labeling.r, labeling.labels
-    out = list(labels)
-    for v in range(1 << k):
-        cur = labels[v]
-        if cur >= r:
-            continue
-        nb = [labels[v ^ (1 << i)] for i in range(k)]
-        if sum(1 for lab in nb if lab == r) >= r - cur:
-            out[v] = r
-            continue
-        if sum(1 for lab in nb if lab > cur) >= r:
-            out[v] = sorted(nb, reverse=True)[r - 1]
-    return Labeling(k, r, tuple(out))
+    k, r = labeling.k, labeling.r
+    return _from_levels(_sweep(_levels(labeling), k, r, *_masks_for(k)), k, r)
 
 
 def meta_fixpoint(labeling: Labeling) -> Labeling:
     """Iterate the synchronous sweep to the first fixed point."""
+    k, r = labeling.k, labeling.r
+    masks, full = _masks_for(k)
+    levels = _levels(labeling)
     while True:
-        nxt = meta_step(labeling)
-        if nxt.labels == labeling.labels:
-            return labeling
-        labeling = nxt
+        nxt = _sweep(levels, k, r, masks, full)
+        if nxt == levels:
+            return _from_levels(levels, k, r)
+        levels = nxt
 
 
 def meta_percolates(labeling: Labeling) -> bool:

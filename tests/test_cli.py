@@ -264,6 +264,20 @@ def test_table_r2_csv(capsys):
     assert [l.split(",")[2] for l in lines[1:]] == ["2", "3", "3"]
 
 
+def test_table_csv_bytes_are_pinned(capsys):
+    # the cap column at r <= 3 is the construction, equal to formula_m2/m3/1
+    digests = {
+        1: "ee4107bf5bb7e6ea340bdf71c690615c1b5109ccb260c2557353a5e59cb198e3",
+        2: "6705b4ddc799291215cefcff9b66e8a47d469d87093056390eb868dd22984973",
+        3: "ce80d606052cf8ceacc00eac706159ab7d003a07944afea449f588714c2d511c",
+        4: "3547d270cb4417e09e2543d168c6e0612ab421eca9e466ca9d6183bf78f01dee",
+    }
+    for r, digest in digests.items():
+        code, out, _ = run(capsys, "table", "--dmax", "200", "--r", str(r), "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_text_is_deterministic(capsys):
     code, first, _ = run(capsys, "table", "--dmax", "20", "--r", "4")
     code, second, _ = run(capsys, "table", "--dmax", "20", "--r", "4")

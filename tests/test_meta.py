@@ -99,12 +99,29 @@ def test_labels_never_decrease():
 
 
 def test_meta_step_matches_reference_sweep():
+    # whole trajectories to the fixed point, including thresholds above k
     rng = random.Random(43)
-    for _ in range(500):
-        k = rng.randint(1, 4)
-        r = rng.randint(1, 4)
-        lab = random_labeling(rng, k, r)
-        assert meta_step(lab) == reference_meta_step(lab)
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        r = rng.randint(1, 6)
+        start = lab = random_labeling(rng, k, r)
+        while True:
+            stepped = meta_step(lab)
+            assert stepped == reference_meta_step(lab)
+            if stepped == lab:
+                break
+            lab = stepped
+        assert meta_fixpoint(start) == lab
+    # meta_l12 takes 58 sweeps, the last of which changes nothing
+    lab = catalog_labeling(12)
+    sweeps = 0
+    while True:
+        stepped = meta_step(lab)
+        sweeps += 1
+        if stepped == lab:
+            break
+        lab = stepped
+    assert sweeps == 58 and lab.is_all(4)
 
 
 def test_empty_schedule_equals_fixpoint():
@@ -212,6 +229,14 @@ def test_labeling_validation():
         Labeling(2, 2, (0, 1, 2, 3))  # label above r
     with pytest.raises(DomainError):
         Labeling(2, 0, (0, 0, 0, 0))
+    with pytest.raises(DomainError):
+        Labeling(2, True, (0, 0, 0, 0))  # bool threshold
+    for bad in (1.5, True):
+        with pytest.raises(DomainError):
+            Labeling(2, 2, (0, bad, 0, 0))  # labels must be plain integers
+    for v in (-1, 8):
+        with pytest.raises(DomainError):
+            Labeling.of(3, 3, {v: 2})
 
 
 def test_histogram():

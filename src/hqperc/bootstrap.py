@@ -4,15 +4,17 @@ Starting from a seed set, every round simultaneously infects each healthy
 vertex with at least r infected neighbours; the closure is the fixed point
 of this update.  A seed percolates when its closure is all of Q_d.
 
-The production engine is bit parallel: the whole 2^d-vertex state lives in
-one big integer, the neighbour image along coordinate i is produced by
-swapping the two half-lanes of the state along that coordinate, and the
-per-vertex neighbour counts accumulate in ceil(log2(r+1)) bit planes of a
-saturating binary counter, giving O(d * 2^d / w) word operations per round.
-One generator, ``_rounds``, runs that round to the fixed point; closure,
-trace and the exhaustive search all consume it, and the meta process calls
-the same round on its level sets.  A naive per-vertex rescan engine is
-kept as an independent reference; the two must agree on every input.
+The production engine is bit parallel.  The state is cut into 2^(d-b)
+blocks of 2^b bits, b = min(d, 16), indexed by the top d - b coordinates.
+In a block the neighbour image along coordinate i swaps two half-lanes;
+along a top coordinate it is the neighbouring block.  Neighbour counts
+accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter.
+A round recomputes only the blocks that are not full and that changed in
+the round before or border one that did, at O(d * 2^b / w) word operations
+each.  ``_rounds`` runs that round to the fixed point for closure, trace and
+step; the search and the meta process call its kernel, ``_round_bits``.
+A naive per-vertex rescan engine is kept as an independent reference; the
+two must agree on every input.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 # subset counts below this are scanned in-process even when workers > 1
 _PARALLEL_MIN = 50_000
 
-_MASK_CACHE_MAX_D = 22
+# A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
+_BLOCK_BITS = 16
 
 
 class SearchAborted(RuntimeError):
@@ -52,8 +55,12 @@ def _check_threshold(r: int, d: int) -> int:
     return r
 
 
-def _build_masks(d: int) -> tuple[tuple[int, ...], int]:
-    """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state."""
+@functools.lru_cache(maxsize=None)
+def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
+    """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state.
+
+    Only a block's low coordinates are swapped, so d <= _BLOCK_BITS here.
+    """
     n = 1 << d
     masks = []
     for i in range(d):
@@ -67,28 +74,23 @@ def _build_masks(d: int) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << n) - 1
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_masks(d: int) -> tuple[tuple[int, ...], int]:
-    return _build_masks(d)
-
-
-def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
-    if d <= _MASK_CACHE_MAX_D:
-        return _cached_masks(d)
-    return _build_masks(d)
-
-
 _plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
 
 
-def _round_bits(bits: int, d: int, r: int, masks, full: int) -> int:
-    """One synchronous update of the raw state integer."""
+def _round_bits(bits: int, d: int, r: int, masks, full: int, extra=()) -> int:
+    """One synchronous update of a raw state integer.
+
+    extra holds neighbour images beyond the d coordinates, such as neighbouring blocks.
+    """
     nplanes = _plane_count(r)
     planes = [0] * nplanes
-    for i in range(d):
-        s = 1 << i
-        m = masks[i]
-        carry = ((bits & m) << s) | ((bits >> s) & m)
+    for i in range(d + len(extra)):
+        if i < d:
+            s = 1 << i
+            m = masks[i]
+            carry = ((bits & m) << s) | ((bits >> s) & m)
+        else:
+            carry = extra[i - d]
         for j in range(nplanes):
             t = planes[j] & carry
             planes[j] ^= carry
@@ -110,23 +112,57 @@ def _round_bits(bits: int, d: int, r: int, masks, full: int) -> int:
     return bits | ge | eq
 
 
-def _rounds(bits: int, d: int, r: int, masks, full: int) -> Iterator[int]:
-    """Yield each strictly larger state after bits, up to the fixed point."""
+def _split(bits: int, d: int) -> tuple[list[int], int]:
+    """A 2^d-bit state as blocks of 2^b bits, and b; block B holds the vertices B * 2^b + x."""
+    if d <= _BLOCK_BITS:
+        return [bits], d
+    size = 1 << (_BLOCK_BITS - 3)
+    raw = bits.to_bytes(1 << (d - 3), "little")
+    blocks = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    return blocks, _BLOCK_BITS
+
+
+def _join(blocks: list[int]) -> int:
+    """The 2^d-bit state that _split cut into these blocks."""
+    if len(blocks) == 1:
+        return blocks[0]
+    size = 1 << (_BLOCK_BITS - 3)
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in blocks), "little")
+
+
+def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
+    """Yield the blocks after each strictly growing round, up to the fixed point.
+
+    The neighbour image of block B along top coordinate j is block B ^ (1 << j)
+    itself.  A block can change only if it or one of those neighbour blocks
+    changed in the round before, so each round recomputes just that
+    neighbourhood of the last round's changes (every block in round 1), and
+    skips full blocks.
+    """
+    masks, full = _masks_for(b)
+    flips = [1 << j for j in range(len(blocks).bit_length() - 1)]
+    dirty = range(len(blocks))
     while True:
-        new = _round_bits(bits, d, r, masks, full)
-        if new == bits:
+        new = blocks.copy()
+        for i in dirty:
+            if blocks[i] != full:
+                new[i] = _round_bits(blocks[i], b, r, masks, full, [blocks[i ^ f] for f in flips])
+        changed = [i for i in dirty if new[i] != blocks[i]]
+        if not changed:
             return
         yield new
-        bits = new
+        blocks = new
+        dirty = {i ^ f for i in changed for f in (0, *flips)}
 
 
 def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
     """The closure plus the number of strictly growing rounds it took."""
     _check_threshold(r, a0.d)
-    bits, rounds = a0.bits, 0
-    for rounds, bits in enumerate(_rounds(a0.bits, a0.d, r, *_masks_for(a0.d)), 1):
+    blocks, b = _split(a0.bits, a0.d)
+    rounds = 0
+    for rounds, blocks in enumerate(_rounds(blocks, b, r), 1):
         pass
-    return VertexSet(a0.d, bits), rounds
+    return VertexSet(a0.d, _join(blocks)), rounds
 
 
 def closure(a0: VertexSet, r: int) -> VertexSet:
@@ -142,8 +178,9 @@ def percolates(a0: VertexSet, r: int) -> bool:
 def step(a: VertexSet, r: int) -> VertexSet:
     """One synchronous round of the r-neighbour update."""
     _check_threshold(r, a.d)
-    masks, full = _masks_for(a.d)
-    return VertexSet(a.d, _round_bits(a.bits, a.d, r, masks, full))
+    for blocks in _rounds(*_split(a.bits, a.d), r):
+        return VertexSet(a.d, _join(blocks))
+    return a
 
 
 @dataclass(frozen=True)
@@ -176,7 +213,7 @@ def trace(a0: VertexSet, r: int) -> InfectionTrace:
     """Run the process round by round, recording every intermediate state."""
     _check_threshold(r, a0.d)
     d = a0.d
-    rounds = (a0, *(VertexSet(d, bits) for bits in _rounds(a0.bits, d, r, *_masks_for(d))))
+    rounds = (a0, *(VertexSet(d, _join(blocks)) for blocks in _rounds(*_split(a0.bits, d), r)))
     return InfectionTrace(d, r, rounds, rounds[-1].is_full())
 
 
@@ -234,8 +271,8 @@ def _scan_chunk(d: int, r: int, size: int, start: int, count: int) -> tuple[int,
         bits = 0
         for v in members:
             bits |= 1 << v
-        for bits in _rounds(bits, d, r, masks, full):
-            pass
+        while (new := _round_bits(bits, d, r, masks, full)) != bits:
+            bits = new
         if bits == full:
             return tuple(members)
         # advance to the next combination in lexicographic order

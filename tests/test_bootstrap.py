@@ -95,6 +95,31 @@ def test_closure_rounds_matches_trace():
         assert rounds == len(history.rounds) - 1
 
 
+def test_block_round_matches_the_single_block_round():
+    # cut into 2^(d-b) blocks, the round must yield the one-block round's states
+    rng = random.Random(43)
+    for d in range(1, 11):
+        n = 1 << d
+        # empty, full, a closed Q_(d-1) (it percolates only at r = 1), sparse random seeds, and
+        # the r = 4 catalog seed with and without its top member (long runs, full and partial)
+        seeds = [0, (1 << n) - 1, (1 << (n // 2)) - 1]
+        seeds += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]
+        if d >= 4:
+            bits = catalog_seed(d).bits
+            seeds += [bits, bits ^ 1 << (bits.bit_length() - 1)]
+        for bits in seeds:
+            for r in range(1, min(5, d) + 1):
+                expected = [state for (state,) in bootstrap._rounds([bits], d, r)]
+                for b in {1, 2, d - 1, d} & set(range(1, d + 1)):
+                    low = (1 << (1 << b)) - 1
+                    blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
+                    got = [
+                        sum(x << (i << b) for i, x in enumerate(state))
+                        for state in bootstrap._rounds(blocks, b, r)
+                    ]
+                    assert got == expected, (d, r, b, bits)
+
+
 def test_step_is_one_round_of_trace():
     seed = even_weight(3)
     assert step(seed, 3) == trace(seed, 3).rounds[1]

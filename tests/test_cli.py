@@ -4,7 +4,16 @@ import json
 import pytest
 
 import hqperc.cli as cli
-from hqperc import format_labeling, format_vertex_set, catalog_labeling, catalog_seed
+from hqperc import (
+    Automorphism,
+    VertexSet,
+    apply_automorphism,
+    catalog_labeling,
+    catalog_seed,
+    format_labeling,
+    format_vertex_set,
+    prefix_embed,
+)
 from hqperc.cli import main
 
 
@@ -177,6 +186,65 @@ def test_closure_trace_and_out_bytes_are_pinned(capsys, seed10_file, tmp_path):
     )
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
         "ea524ee66c97e1f64a027866ed470d95bb6ec2dd761e9ddaad940751fd3e95db"
+    )
+
+
+def _pairs_18():
+    # the threshold-2 family: the origin plus disjoint coordinate pairs
+    return VertexSet.of(18, [0] + [3 << i for i in range(0, 17, 2)])
+
+
+def _q15_across_blocks():
+    # the Q_15 catalog seed on a subcube that crosses all four 2^16-bit blocks of Q_18
+    perm = tuple((j + 9) % 18 for j in range(18))
+    seed = prefix_embed(catalog_seed(15), 0, 18)
+    return apply_automorphism(Automorphism(perm, 0b101 << 15), seed)
+
+
+@pytest.mark.parametrize(
+    "seed, r, stdout, digest",
+    [
+        (
+            _pairs_18,
+            2,
+            "seed cardinality: 10\nrounds: 18\nclosure cardinality: 262144\npercolates: yes\n",
+            "d9b2ac5b819f4aa73ccb0031ce34ef45cb5cdb5f24c10f20275d155eb4915446",
+        ),
+        (
+            _q15_across_blocks,
+            4,
+            "seed cardinality: 179\nrounds: 280\nclosure cardinality: 32768\npercolates: no\n",
+            "4e7a7356452b01ac9c614c218a7fe71621cb1fbbcda0780192434b1c55a40aa3",
+        ),
+    ],
+    ids=["percolating", "not-percolating"],
+)
+def test_multi_block_closure_out_is_pinned(capsys, tmp_path, seed, r, stdout, digest):
+    # d = 18 is four blocks: the stdout and closure file bytes must not depend on the split
+    path = tmp_path / "seed.set"
+    path.write_text(format_vertex_set(seed()))
+    out_path = tmp_path / "closure.set"
+    code, out, _ = run(
+        capsys, "closure", "--set", str(path), "--d", "18", "--r", str(r), "--out", str(out_path)
+    )
+    assert code == 0
+    assert out == stdout
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_multi_block_closure_trace_is_pinned(capsys, tmp_path):
+    # a d = 17 seed with members in both blocks that closes in seven rounds at r = 2
+    path = tmp_path / "seed.set"
+    seed = VertexSet.of(17, [0, 1 | 1 << 16, 0b110 | 1 << 16, 0b1000 | 1 << 16, 0b11000])
+    path.write_text(format_vertex_set(seed))
+    trace_path = tmp_path / "trace.json"
+    code, out, _ = run(
+        capsys, "closure", "--set", str(path), "--d", "17", "--r", "2", "--trace", str(trace_path)
+    )
+    assert code == 0
+    assert out == "seed cardinality: 5\nrounds: 7\nclosure cardinality: 64\npercolates: no\n"
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
+        "04cabc9e80b7a06867381f9fb5b8432377813fa320ca4b2d74737506a65d2ac7"
     )
 
 

@@ -12,7 +12,8 @@ accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter.
 A round recomputes only the blocks that are not full and that changed in
 the round before or border one that did, at O(d * 2^b / w) word operations
 each.  ``_rounds`` runs that round to the fixed point for closure, trace and
-step; the search and the meta process call its kernel, ``_round_bits``.
+step; the search and the meta process call its kernel, ``_round_bits``.  By
+Aut(Q_d) symmetry the search scans only sets that can be the first witness.
 A naive per-vertex rescan engine is kept as an independent reference; the
 two must agree on every input.
 """
@@ -32,11 +33,12 @@ from .hypercube import (
     VertexSet,
     check_dimension,
     neighbors,
+    weight,
 )
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
-# subset counts below this are scanned in-process even when workers > 1
+# searches with fewer candidate sets than this run in-process even when workers > 1
 _PARALLEL_MIN = 50_000
 
 # A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
@@ -262,27 +264,50 @@ def _unrank_combination(n: int, size: int, rank: int) -> list[int]:
     return members
 
 
-def _scan_chunk(d: int, r: int, size: int, start: int, count: int) -> tuple[int, ...] | None:
-    """Scan `count` subsets starting at lexicographic rank `start`; first witness or None."""
+def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """Prefix, pool and set count of the spaces that hold the first percolating size-set.
+
+    Lemma: percolating size-sets are closed under Aut(Q_d).  Let W be the
+    lexicographically first, and k the least distance between two members x, y.
+    Translate W by x and permute coordinates to map x ^ y to 2^k - 1: the image
+    percolates and holds 0 and 2^k - 1.  So by minimality W[0] = 0 and
+    W[1] <= 2^k - 1; as wt(W[1]) >= k, W[1] = 2^k - 1.  Every later member v has
+    wt(v) >= k and wt(v ^ (2^k - 1)) >= k: W is (0, 2^k - 1) plus size - 2
+    members of pool k, and the spaces come in k order, which is lexicographic.
+    """
+    if size == 1:
+        yield (0,), [], 1
+        return
+    for k in range(1, d + 1):
+        x = (1 << k) - 1
+        pool = [v for v in range(x + 1, 1 << d) if weight(v) >= k and weight(v ^ x) >= k]
+        yield (0, x), pool, comb(len(pool), size - 2)
+
+
+def _scan_chunk(d: int, r: int, prefix: tuple[int, ...], pool: list[int], pick: int,
+                start: int, count: int) -> tuple[int, ...] | None:
+    """Scan `count` sets prefix + C, C running over the pick-subsets of pool in
+    lexicographic order from rank `start`; the first witness or None."""
     masks, full = _masks_for(d)
-    n = 1 << d
-    members = _unrank_combination(n, size, start)
+    n = len(pool)
+    base = sum(1 << v for v in prefix)
+    members = _unrank_combination(n, pick, start)
     for _ in range(count):
-        bits = 0
-        for v in members:
-            bits |= 1 << v
+        bits = base
+        for i in members:
+            bits |= 1 << pool[i]
         while (new := _round_bits(bits, d, r, masks, full)) != bits:
             bits = new
         if bits == full:
-            return tuple(members)
+            return (*prefix, *(pool[i] for i in members))
         # advance to the next combination in lexicographic order
-        i = size - 1
-        while i >= 0 and members[i] == n - size + i:
+        i = pick - 1
+        while i >= 0 and members[i] == n - pick + i:
             i -= 1
         if i < 0:
             return None
         members[i] += 1
-        for j in range(i + 1, size):
+        for j in range(i + 1, pick):
             members[j] = members[j - 1] + 1
     return None
 
@@ -296,12 +321,12 @@ def search_percolating_set(
 ) -> VertexSet | None:
     """Exhaustively look for a percolating set of exactly the given cardinality.
 
-    Subsets are enumerated in lexicographic order of their member indices and
-    the first witness found is returned, so the result is deterministic even
-    when the scan is partitioned across worker processes.  Returns None when
-    the full enumeration proves no witness exists.  A search whose subset
-    count C(2^d, size) exceeds the budget refuses to start and raises
-    SearchAborted; pass an explicit budget to opt in to larger scans.
+    Returns the lexicographically first one, or None when none exists.  Only the
+    sets of ``_spaces`` are scanned; they come in lexicographic order and hold
+    the first witness, so partitioning the scan across worker processes leaves
+    the result unchanged.  A search whose subset count C(2^d, size) exceeds the
+    budget refuses to start and raises SearchAborted; pass an explicit budget
+    to opt in to larger scans.
     """
     check_dimension(d)
     _check_threshold(r, d)
@@ -320,19 +345,19 @@ def search_percolating_set(
     nworkers = _worker_count(workers)
     if size == 0:
         return None  # the empty seed never percolates for r >= 1, d >= 1
-    if nworkers <= 1 or total < _PARALLEL_MIN:
-        found = _scan_chunk(d, r, size, 0, total)
+    spaces = list(_spaces(d, size))
+    candidates = sum(count for *_, count in spaces)
+    parallel = nworkers > 1 and candidates >= _PARALLEL_MIN
+    chunk = -(-candidates // (nworkers * 4)) if parallel else candidates
+    jobs = [(d, r, prefix, pool, size - len(prefix), s, min(chunk, count - s))
+            for prefix, pool, count in spaces for s in range(0, count, chunk)]
+    if parallel:
+        with ProcessPoolExecutor(max_workers=nworkers) as executor:
+            futures = [executor.submit(_scan_chunk, *job) for job in jobs]
+            found = next(filter(None, (future.result() for future in futures)), None)
+            executor.shutdown(cancel_futures=True)
     else:
-        chunk = -(-total // (nworkers * 4))
-        starts = list(range(0, total, chunk))
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            jobs = [pool.submit(_scan_chunk, d, r, size, s, min(chunk, total - s))
-                    for s in starts]
-            for job in jobs:
-                found = job.result()
-                if found is not None:
-                    pool.shutdown(cancel_futures=True)
-                    break
+        found = next(filter(None, (_scan_chunk(*job) for job in jobs)), None)
     if found is None:
         return None
     return VertexSet.of(d, found)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -243,6 +244,30 @@ def test_search_size_validation():
         search_percolating_set(3, 3, 3, budget=0)
 
 
+def _first_percolating(d, r, size):
+    # the full lexicographic scan over every size-subset of Q_d
+    for members in itertools.combinations(range(1 << d), size):
+        if percolates(VertexSet.of(d, members), r):
+            return VertexSet.of(d, members)
+    return None
+
+
+def test_search_matches_the_full_lexicographic_scan():
+    cases = [(d, r, size) for d in range(1, 5) for r in range(1, d + 1)
+             for size in range((1 << d) + 1) if comb(1 << d, size) <= 5_000]
+    cases += [(5, r, size) for r in range(1, 6) for size in range(5)]
+    for d, r, size in cases:
+        assert search_percolating_set(d, r, size, workers=1) == _first_percolating(d, r, size), (
+            d, r, size)
+
+
+def test_search_spaces_count_the_candidate_sets():
+    # d = 5: the prefix spaces hold 5,620 of C(32, 5) = 201,376 and 55,332,732 of
+    # C(32, 13) = 347,373,600 subsets
+    for size, total in ((5, 5_620), (13, 55_332_732)):
+        assert sum(count for *_, count in bootstrap._spaces(5, size)) == total
+
+
 def test_unrank_combination_matches_enumeration():
     for n, k in ((6, 3), (7, 1), (5, 5), (8, 4)):
         combos = list(itertools.combinations(range(n), k))
@@ -261,6 +286,17 @@ def test_search_parallel_path_matches_sequential(monkeypatch):
         4, [0, 3, 5, 10, 12, 15]
     )
     assert search_percolating_set(4, 3, 5, workers=2) is None
+    # the witness sits in the k = 2 space, after the 3,003 negative sets of the k = 1 space
+    witness = search_percolating_set(4, 4, 8, workers=2)
+    assert witness == search_percolating_set(4, 4, 8, workers=1) == VertexSet.of(
+        4, [0, 3, 5, 6, 9, 10, 12, 15]
+    )
+
+
+@pytest.mark.longrun
+def test_no_eight_vertex_seed_percolates_q5():
+    # 668,389 candidate sets of C(32, 8) = 10,518,300, scanned by two worker processes
+    assert search_percolating_set(5, 4, 8, budget=10_518_300, workers=2) is None
 
 
 def test_trace_json_shape():

@@ -377,6 +377,22 @@ def test_search_budget_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "d, r, size, code, stdout, stderr",
+    [
+        (4, 4, 8, 0, "0000\n1100\n1010\n0110\n1001\n0101\n0011\n1111\n", ""),
+        (4, 3, 6, 0, "0000\n1100\n1010\n0101\n0011\n1111\n", ""),
+        (5, 4, 5, 1, "none\n", ""),
+        (5, 4, 13, 3, "",
+         "search aborted: C(32, 13) = 347373600 subsets exceeds budget 2000000\n"),
+    ],
+)
+def test_search_output_is_pinned(capsys, d, r, size, code, stdout, stderr):
+    # the first witness in lexicographic order, as the full scan finds it
+    assert run(capsys, "search", "--d", str(d), "--r", str(r), "--size", str(size)) == (
+        code, stdout, stderr)
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "verify", "--set", str(tmp_path / "missing.set"), "--d", "3", "--r", "2"

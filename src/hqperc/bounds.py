@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .constructions import construction_size
+from .constructions import THRESHOLDS, construction_size
 from .hypercube import DomainError
 
 LOWER_BOUND_NOTE = "ceiled rational bound"
@@ -92,8 +92,8 @@ class BoundReport:
 
 def bound_report(d: int, r: int) -> BoundReport:
     """Combine the lower bound with the realized construction size."""
-    if not 1 <= r <= 4:
-        raise DomainError(f"reports cover thresholds 1..4, got {r}")
+    if r not in THRESHOLDS:
+        raise DomainError(f"reports cover thresholds {THRESHOLDS[0]}..{THRESHOLDS[-1]}, got {r}")
     lower = lower_bound(d, r)
     upper = construction_size(d, r)
     if lower > upper:

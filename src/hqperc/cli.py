@@ -26,6 +26,7 @@ from .bootstrap import (
 )
 from .constructions import (
     SIZE_CAP,
+    THRESHOLDS,
     construct,
     construct_members,
     construct_recipe,
@@ -190,6 +191,7 @@ def _cmd_search(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    r_help = f"infection threshold ({THRESHOLDS[0]}..{THRESHOLDS[-1]})"
     parser = argparse.ArgumentParser(
         prog="hqperc",
         description="Bootstrap percolation on hypercubes: simulate, construct, bound, search.",
@@ -205,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="assemble a percolating seed and write it out")
     p.add_argument("--d", required=True, type=int, help="dimension")
-    p.add_argument("--r", required=True, type=int, help="infection threshold (1..4)")
+    p.add_argument("--r", required=True, type=int, help=r_help)
     p.add_argument("--out", required=True, help="output vertex-set file")
     p.add_argument("--recipe", help="write the assembly recipe to this JSON file")
     p.add_argument("--verify", action="store_true", help="simulate the closure as a check")
@@ -227,13 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="report lower/upper bounds for one (d, r)")
     p.add_argument("--d", required=True, type=int, help="dimension")
-    p.add_argument("--r", required=True, type=int, help="infection threshold (1..4)")
+    p.add_argument("--r", required=True, type=int, help=r_help)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", help="tabulate bounds for d up to --dmax")
     p.add_argument("--dmax", required=True, type=int, help="largest dimension")
-    p.add_argument("--r", required=True, type=int, choices=(1, 2, 3, 4))
+    p.add_argument("--r", required=True, type=int, choices=THRESHOLDS)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_table)
 

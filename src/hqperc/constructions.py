@@ -13,15 +13,17 @@ Three ingredients combine here:
   of S_i into every subcube whose selector vertex holds label i yields a
   percolating set for threshold r in Q_d of size sum_i count_i * |S_i|.
 
-Dimensions above the catalog are assembled recursively.  The threshold-3
-recursion steps down by 3 (odd d) or 6 (even d); the threshold-4 recursion
-steps down by 4 or 12 according to d mod 6, with a dedicated route at
-d = 17.  The recursive assembler places the selector block on the highest
-k coordinates so that the threshold-2 family lands inside the threshold-3
-family member for member; the standalone product_construction places the
-selector on the first k coordinates, matching its documented contract.
-Every recipe node records the arithmetic size, which is asserted against
-the realized cardinality (embedded blocks never overlap).
+Dimensions above the catalog are assembled recursively.  _recipe is the one
+route function: threshold 3 steps down by 3 (odd d) or 6 (even d), threshold
+4 by 4 or 12 according to d mod 6, with a dedicated route at d = 17.  It
+sizes every node from the catalog tables, so recipes and construction_size
+read no asset; _members builds the members by walking the recipe.  One
+embedding takes the selector position as a parameter: the recursive
+assembler puts the selector on the top k coordinates, so the threshold-2
+family lands inside the threshold-3 family member for member and members
+come out ascending; product_construction puts it on the first k, matching
+its documented contract.  Every node's size is asserted against the
+realized cardinality (embedded blocks never overlap).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .bootstrap import percolates
 from .hypercube import (
@@ -41,6 +43,8 @@ from .hypercube import (
 )
 from .meta import Labeling, meta_percolates, parse_labeling
 
+# thresholds that construct, bound and table cover
+THRESHOLDS = range(1, 5)
 # largest dimension for member-list assembly and size arithmetic
 SIZE_CAP = 200
 
@@ -49,6 +53,7 @@ CATALOG_SEED_SIZES = {
     10: 61, 11: 78, 12: 98, 13: 122, 14: 148, 15: 179,
 }
 CATALOG_R3_SIZES = {3: 4, 4: 6, 5: 8, 6: 10, 7: 13, 8: 16}
+CATALOG_SIZES = {3: CATALOG_R3_SIZES, 4: CATALOG_SEED_SIZES}  # r -> d -> size
 CATALOG_LABELINGS = {3: 3, 4: 4, 6: 3, 12: 4}  # k -> threshold r
 CATALOG_HISTOGRAMS = {
     3: (1, 2, 1),
@@ -106,26 +111,20 @@ def _asset_text(name: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _catalog(r: int, d: int) -> VertexSet:
+    """The shipped r-neighbour seed s{r}_d{d} (r in {3, 4}), checked against its size."""
+    expected = CATALOG_SIZES[r][d]
+    s = parse_vertex_set(_asset_text(f"s{r}_d{d}.set"), d)
+    if len(s) != expected:
+        raise DomainError(f"catalog seed s{r}_d{d} has {len(s)} vertices, expected {expected}")
+    return s
+
+
 def catalog_seed(d: int) -> VertexSet:
     """The shipped 4-neighbour seed for dimension d (4 <= d <= 15)."""
     if d not in CATALOG_SEED_SIZES:
         raise DomainError(f"no catalog 4-neighbour seed for dimension {d}")
-    s = parse_vertex_set(_asset_text(f"s4_d{d}.set"), d)
-    if len(s) != CATALOG_SEED_SIZES[d]:
-        raise DomainError(
-            f"catalog seed s4_d{d} has {len(s)} vertices, expected {CATALOG_SEED_SIZES[d]}"
-        )
-    return s
-
-
-@functools.lru_cache(maxsize=None)
-def _catalog_r3(d: int) -> VertexSet:
-    s = parse_vertex_set(_asset_text(f"s3_d{d}.set"), d)
-    if len(s) != CATALOG_R3_SIZES[d]:
-        raise DomainError(
-            f"catalog seed s3_d{d} has {len(s)} vertices, expected {CATALOG_R3_SIZES[d]}"
-        )
-    return s
+    return _catalog(4, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,20 +143,34 @@ def catalog_labeling(k: int) -> Labeling:
 
 
 def _pair_members(d: int) -> tuple[int, ...]:
-    """Origin plus weight-2 pair vertices: the threshold-2 family."""
-    members = [0]
-    for i in range(1, d // 2 + 1):
-        members.append((1 << (2 * i - 2)) | (1 << (2 * i - 1)))
+    """Origin plus weight-2 pair vertices, ascending: the threshold-2 family."""
+    shifts = list(range(0, d - 1, 2))
     if d % 2 == 1:
-        members.append((1 << (d - 2)) | (1 << (d - 1)))
-    return tuple(sorted(members))
+        shifts.append(d - 2)
+    return (0, *(3 << i for i in shifts))
+
+
+def _embed(
+    labeling: Labeling, blocks: Sequence[Sequence[int]], x_shift: int, m_shift: int
+) -> Iterator[int]:
+    """Copy blocks[i - 1] into the subcube of every selector vertex x labelled i.
+
+    The selector occupies the k coordinates from bit x_shift and the block
+    member those from bit m_shift: (d - k, 0) puts the selector on the top k
+    coordinates, (0, k) on the first k.
+    """
+    return (
+        (x << x_shift) | (m << m_shift)
+        for x, label in enumerate(labeling.labels) if label
+        for m in blocks[label - 1]
+    )
 
 
 def _check_build_args(d: int, r: int) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise DomainError(f"threshold must be a positive integer, got {r!r}")
-    if r > 4:
-        raise DomainError(f"not implemented for r > 4 (got r={r})")
+    if r not in THRESHOLDS:
+        raise DomainError(f"not implemented for r > {THRESHOLDS[-1]} (got r={r})")
     if not isinstance(d, int) or isinstance(d, bool) or d < r:
         raise DomainError(f"threshold {r} needs dimension >= {r}, got {d}")
     if d > SIZE_CAP:
@@ -172,75 +185,51 @@ def _m4_route(d: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _build(d: int, r: int) -> tuple[tuple[int, ...], Recipe]:
-    """Sorted member list plus recipe; selector blocks sit on the top k coordinates."""
-    if r == 1:
-        return (0,), Leaf(f"s1_d{d}", 1)
-    if r == 2:
-        members = _pair_members(d)
-        return members, Leaf(f"s2_d{d}", len(members))
-    if r == 3:
-        if d <= 8:
-            members = tuple(sorted(_catalog_r3(d)))
-            return members, Leaf(f"s3_d{d}", len(members))
-        k = 3 if d % 2 == 1 else 6
+def _recipe(d: int, r: int) -> Recipe:
+    """The one route choice: a leaf, or a product over a catalog labeling of Q_k."""
+    if r <= 2:
+        return Leaf(f"s{r}_d{d}", 1 if r == 1 else (d + 1) // 2 + 1)
+    if d in CATALOG_SIZES[r]:
+        return Leaf(f"s{r}_d{d}", CATALOG_SIZES[r][d])
+    k = _m4_route(d) if r == 4 else 3 if d % 2 == 1 else 6
+    counts = CATALOG_HISTOGRAMS[k]
+    children = tuple(_recipe(d - k, i) for i in range(1, r + 1))
+    size = sum(c * child.size for c, child in zip(counts, children))
+    return Product(k, f"meta_l{k}", counts, children, size)
+
+
+@functools.lru_cache(maxsize=None)
+def _members(d: int, r: int) -> tuple[int, ...]:
+    """Ascending members of the seed that _recipe(d, r) describes."""
+    recipe = _recipe(d, r)
+    if isinstance(recipe, Product):
+        k = recipe.k
+        blocks = [_members(d - k, i) for i in range(1, r + 1)]
+        members = tuple(_embed(catalog_labeling(k), blocks, d - k, 0))
+    elif r <= 2:
+        members = (0,) if r == 1 else _pair_members(d)
     else:
-        if d <= 15:
-            members = tuple(sorted(catalog_seed(d)))
-            return members, Leaf(f"s4_d{d}", len(members))
-        k = _m4_route(d)
-    labeling = catalog_labeling(k)
-    children = [_build(d - k, i) for i in range(1, r + 1)]
-    shift = d - k
-    members = []
-    for x, label in enumerate(labeling.labels):
-        if label == 0:
-            continue
-        base = x << shift
-        members.extend(base | m for m in children[label - 1][0])
-    counts = labeling.histogram()
-    size = sum(c * child[1].size for c, child in zip(counts, children))
-    if len(members) != size or len(set(members)) != size:
+        members = tuple(_catalog(r, d))
+    if len(members) != recipe.size or len(set(members)) != recipe.size:
         raise AssertionError(f"block overlap assembling d={d}, r={r}")
-    recipe = Product(
-        k=k,
-        labeling=f"meta_l{k}",
-        counts=counts,
-        children=tuple(child[1] for child in children),
-        size=size,
-    )
-    return tuple(sorted(members)), recipe
+    return members
 
 
 def construct_members(d: int, r: int) -> list[int]:
     """The assembled seed as a sorted vertex-index list; works beyond D_MAX."""
     _check_build_args(d, r)
-    return list(_build(d, r)[0])
+    return list(_members(d, r))
 
 
 def construct_recipe(d: int, r: int) -> Recipe:
-    """The assembly tree (and exact size arithmetic) without materializing a set."""
+    """The assembly tree and its size arithmetic; reads no asset and builds no member."""
     _check_build_args(d, r)
-    return _build(d, r)[1]
+    return _recipe(d, r)
 
 
 def construction_size(d: int, r: int) -> int:
     """Cardinality of construct(d, r), by recipe arithmetic alone."""
-    _check_build_args(d, r)
-    if r == 1:
-        return 1
-    if r == 2:
-        return (d + 1) // 2 + 1
-    if r == 3:
-        if d <= 8:
-            return CATALOG_R3_SIZES[d]
-        k = 3 if d % 2 == 1 else 6
-    else:
-        if d <= 15:
-            return CATALOG_SEED_SIZES[d]
-        k = _m4_route(d)
-    counts = CATALOG_HISTOGRAMS[k]
-    return sum(c * construction_size(d - k, i + 1) for i, c in enumerate(counts))
+    return construct_recipe(d, r).size
 
 
 def construct(d: int, r: int, verify: bool = False) -> tuple[VertexSet, Recipe]:
@@ -256,11 +245,10 @@ def construct(d: int, r: int, verify: bool = False) -> tuple[VertexSet, Recipe]:
             f"dimension too large to materialize: {d} > {D_MAX};"
             " use construct_members for the vertex list"
         )
-    members, recipe = _build(d, r)
-    s = VertexSet.of(d, members)
+    s = VertexSet.of(d, _members(d, r))
     if verify and not percolates(s, r):
         raise AssertionError(f"assembled seed for d={d}, r={r} failed verification")
-    return s, recipe
+    return s, _recipe(d, r)
 
 
 def seed_r1(d: int) -> VertexSet:
@@ -319,9 +307,4 @@ def product_construction(
                     "a", f"part {i} does not percolate at threshold {i}"
                 )
     blocks = [tuple(s) for s in parts]
-    members = (
-        (m << k) | x
-        for x, label in enumerate(labeling.labels) if label
-        for m in blocks[label - 1]
-    )
-    return VertexSet(d, _bits_of(d, members))
+    return VertexSet(d, _bits_of(d, _embed(labeling, blocks, 0, k)))

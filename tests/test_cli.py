@@ -155,6 +155,50 @@ def test_construct_unsupported_threshold(capsys, tmp_path):
     assert "not implemented for r > 4" in err
 
 
+@pytest.mark.parametrize(
+    "d, r, set_digest, recipe_digest",
+    [
+        (16, 4, "854a43124eea3ba34b3712a782556180f4c2230e093e1309037787f43600733a",
+         "7212838ddfb023ca44e059969714f350135e75603edba5caadcece98dabf7cc4"),
+        (30, 3, "a62e6f302ab57ba06183be72a902c3bb6d11f39f7469844ce7031b3d8d2de842",
+         "63cc49be524e33890339c4584ae902bb3e0fda7abfa59418ef4550ca0c99fe17"),
+    ],
+)
+def test_construct_out_and_recipe_bytes_are_pinned(
+    capsys, tmp_path, d, r, set_digest, recipe_digest
+):
+    out_path, recipe_path = tmp_path / "c.set", tmp_path / "c.json"
+    code, _, _ = run(
+        capsys, "construct", "--d", str(d), "--r", str(r),
+        "--out", str(out_path), "--recipe", str(recipe_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == set_digest
+    assert hashlib.sha256(recipe_path.read_bytes()).hexdigest() == recipe_digest
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["table", "--dmax", "10", "--r", "5"],
+         "usage: hqperc table [-h] --dmax DMAX --r {1,2,3,4} [--format {text,json,csv}]\n"
+         "hqperc table: error: argument --r: invalid choice: 5 (choose from 1, 2, 3, 4)\n"),
+        (["bound", "--d", "10", "--r", "5"],
+         "error: reports cover thresholds 1..4, got 5\n"),
+        (["construct", "--d", "10", "--r", "5", "--out", "unused.set"],
+         "error: not implemented for r > 4 (got r=5)\n"),
+    ],
+)
+def test_threshold_5_is_a_pinned_usage_error(capsys, monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", stderr)
+
+
 def test_closure_command(capsys, tmp_path):
     path = tmp_path / "seed.set"
     path.write_text("000\n110\n101\n011\n")

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import hqperc
 from hqperc import (
     DomainError,
     Labeling,
@@ -197,12 +204,39 @@ def test_recipe_structure_at_16():
 
 
 def test_recipe_size_equals_realized_cardinality():
-    for d in range(4, 25):
-        for r in (1, 2, 3, 4):
+    for r in (1, 2, 3, 4):
+        for d in range(r, 41):
             members = construct_members(d, r)
             recipe = construct_recipe(d, r)
             assert recipe.size == len(members) == len(set(members))
+            assert members == sorted(members)
             assert construction_size(d, r) == recipe.size
+
+
+def test_recipes_and_sizes_read_no_asset():
+    # a fresh interpreter, since the recipe and catalog caches are process-wide
+    code = textwrap.dedent(
+        """
+        from hqperc import bound_report, constructions
+
+        def no_asset(name):
+            raise AssertionError(f"asset {name} read")
+
+        constructions._asset_text = no_asset
+        for r in (1, 2, 3, 4):
+            for d in range(r, 201):
+                assert constructions.construct_recipe(d, r).size > 0
+                assert constructions.construction_size(d, r) > 0
+        assert bound_report(200, 4).upper == constructions.construction_size(200, 4)
+        """
+    )
+    src = str(Path(hqperc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_size_laws_to_60():
@@ -254,3 +288,14 @@ def test_construct_percolates_at_23():
     for r in (1, 2, 3, 4):
         s, _ = construct(23, r)
         assert percolates(s, r)
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert capsys.readouterr().out == "295\n"
+    assert len(namespace["seed"]) == 295 == namespace["recipe"].size
+    assert percolates(namespace["seed"], 4)
+    assert namespace["bound_report"](18, 4).exact == 295

@@ -13,7 +13,8 @@ A round recomputes only the blocks that are not full and that changed in
 the round before or border one that did, at O(d * 2^b / w) word operations
 each.  ``_rounds`` runs that round to the fixed point for closure, trace and
 step; the search and the meta process call its kernel, ``_round_bits``.  By
-Aut(Q_d) symmetry the search scans only sets that can be the first witness.
+Aut(Q_d) symmetry the search scans only sets that can be the first witness,
+split into jobs by leading members and enumerated by itertools.combinations.
 A naive per-vertex rescan engine is kept as an independent reference; the
 two must agree on every input.
 """
@@ -24,6 +25,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -248,22 +250,6 @@ def _worker_count(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _unrank_combination(n: int, size: int, rank: int) -> list[int]:
-    """The rank-th size-subset of range(n) in lexicographic order."""
-    members = []
-    x = 0
-    remaining = size
-    while remaining:
-        block = comb(n - x - 1, remaining - 1)
-        if rank < block:
-            members.append(x)
-            remaining -= 1
-        else:
-            rank -= block
-        x += 1
-    return members
-
-
 def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
     """Prefix, pool and set count of the spaces that hold the first percolating size-set.
 
@@ -284,31 +270,30 @@ def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int
         yield (0, x), pool, comb(len(pool), size - 2)
 
 
-def _scan_chunk(d: int, r: int, prefix: tuple[int, ...], pool: list[int], pick: int,
-                start: int, count: int) -> tuple[int, ...] | None:
-    """Scan `count` sets prefix + C, C running over the pick-subsets of pool in
-    lexicographic order from rank `start`; the first witness or None."""
+def _jobs(prefix: tuple[int, ...], pool: list[int], pick: int,
+          limit: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """Split the sets prefix + C, C a pick-subset of pool, into jobs of at most
+    max(limit, 1) sets by their leading pool members, in lexicographic order."""
+    if pick == 0 or comb(len(pool), pick) <= limit:
+        yield prefix, pool, pick
+        return
+    for j in range(len(pool) - pick + 1):
+        yield from _jobs(prefix + (pool[j],), pool[j + 1:], pick - 1, limit)
+
+
+def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
+          pick: int) -> tuple[int, ...] | None:
+    """The first percolating set prefix + C, C running over the pick-subsets of
+    pool in lexicographic order, or None."""
     masks, full = _masks_for(d)
-    n = len(pool)
     base = sum(1 << v for v in prefix)
-    members = _unrank_combination(n, pick, start)
-    for _ in range(count):
-        bits = base
-        for i in members:
-            bits |= 1 << pool[i]
+    # prefix and pool are disjoint and the bits distinct, so the sums are ORs
+    for combo in combinations([1 << v for v in pool], pick):
+        bits = base + sum(combo)
         while (new := _round_bits(bits, d, r, masks, full)) != bits:
             bits = new
         if bits == full:
-            return (*prefix, *(pool[i] for i in members))
-        # advance to the next combination in lexicographic order
-        i = pick - 1
-        while i >= 0 and members[i] == n - pick + i:
-            i -= 1
-        if i < 0:
-            return None
-        members[i] += 1
-        for j in range(i + 1, pick):
-            members[j] = members[j - 1] + 1
+            return (*prefix, *(b.bit_length() - 1 for b in combo))
     return None
 
 
@@ -323,17 +308,22 @@ def search_percolating_set(
 
     Returns the lexicographically first one, or None when none exists.  Only the
     sets of ``_spaces`` are scanned; they come in lexicographic order and hold
-    the first witness, so partitioning the scan across worker processes leaves
-    the result unchanged.  A search whose subset count C(2^d, size) exceeds the
-    budget refuses to start and raises SearchAborted; pass an explicit budget
-    to opt in to larger scans.
+    the first witness.  Workers scan jobs split off by leading pool members
+    (``_jobs``), also in lexicographic order and each enumerated by
+    itertools.combinations, so the result is unchanged.  A search whose subset
+    count C(2^d, size) exceeds the budget refuses to start and raises
+    SearchAborted; pass an explicit budget to opt in to larger scans.
     """
     check_dimension(d)
     _check_threshold(r, d)
     n = 1 << d
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise DomainError(f"size must be an integer, got {size!r}")
     if not 0 <= size <= n:
         raise DomainError(f"size {size} out of range for Q_{d}")
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise DomainError(f"budget must be an integer, got {limit!r}")
     if limit < 1:
         raise DomainError(f"budget must be positive, got {limit}")
     total = comb(n, size)
@@ -349,15 +339,15 @@ def search_percolating_set(
     candidates = sum(count for *_, count in spaces)
     parallel = nworkers > 1 and candidates >= _PARALLEL_MIN
     chunk = -(-candidates // (nworkers * 4)) if parallel else candidates
-    jobs = [(d, r, prefix, pool, size - len(prefix), s, min(chunk, count - s))
-            for prefix, pool, count in spaces for s in range(0, count, chunk)]
+    jobs = [job for prefix, pool, _ in spaces
+            for job in _jobs(prefix, pool, size - len(prefix), chunk)]
     if parallel:
         with ProcessPoolExecutor(max_workers=nworkers) as executor:
-            futures = [executor.submit(_scan_chunk, *job) for job in jobs]
+            futures = [executor.submit(_scan, d, r, *job) for job in jobs]
             found = next(filter(None, (future.result() for future in futures)), None)
             executor.shutdown(cancel_futures=True)
     else:
-        found = next(filter(None, (_scan_chunk(*job) for job in jobs)), None)
+        found = next(filter(None, (_scan(d, r, *job) for job in jobs)), None)
     if found is None:
         return None
     return VertexSet.of(d, found)

@@ -27,7 +27,7 @@ from .bootstrap import (
 from .constructions import (
     SIZE_CAP,
     THRESHOLDS,
-    construct,
+    construct,  # unused here, but perfbench/tracer.py wraps cli.construct
     construct_members,
     construct_recipe,
 )
@@ -35,6 +35,7 @@ from .hypercube import (
     D_MAX,
     DomainError,
     FormatError,
+    VertexSet,
     format_members,
     format_vertex_set,
     load_vertex_set,
@@ -77,7 +78,7 @@ def _cmd_construct(args) -> int:
     recipe = construct_recipe(args.d, args.r)
     verified = False
     if args.verify and args.d <= D_MAX:
-        if not percolates(construct(args.d, args.r)[0], args.r):
+        if not percolates(VertexSet.of(args.d, members), args.r):
             print("verification failed", file=sys.stderr)
             return EXIT_NEGATIVE
         verified = True

@@ -198,7 +198,6 @@ def _recipe(d: int, r: int) -> Recipe:
     return Product(k, f"meta_l{k}", counts, children, size)
 
 
-@functools.lru_cache(maxsize=None)
 def _members(d: int, r: int) -> tuple[int, ...]:
     """Ascending members of the seed that _recipe(d, r) describes."""
     recipe = _recipe(d, r)

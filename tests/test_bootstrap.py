@@ -20,7 +20,7 @@ from hqperc import (
     trace,
     weight,
 )
-from hqperc.bootstrap import _unrank_combination, closure_rounds
+from hqperc.bootstrap import closure_rounds
 
 
 def even_weight(d):
@@ -242,6 +242,12 @@ def test_search_size_validation():
         search_percolating_set(3, 3, -1)
     with pytest.raises(DomainError):
         search_percolating_set(3, 3, 3, budget=0)
+    for size in (True, False, 8.0, 2.5, "3", None):
+        with pytest.raises(DomainError):
+            search_percolating_set(3, 3, size)
+    for budget in (True, 100.0, "100"):
+        with pytest.raises(DomainError):
+            search_percolating_set(3, 3, 3, budget=budget)
 
 
 def _first_percolating(d, r, size):
@@ -268,11 +274,17 @@ def test_search_spaces_count_the_candidate_sets():
         assert sum(count for *_, count in bootstrap._spaces(5, size)) == total
 
 
-def test_unrank_combination_matches_enumeration():
-    for n, k in ((6, 3), (7, 1), (5, 5), (8, 4)):
-        combos = list(itertools.combinations(range(n), k))
-        for rank, combo in enumerate(combos):
-            assert tuple(_unrank_combination(n, k, rank)) == combo
+def test_jobs_split_the_combinations_in_order():
+    rng = random.Random(9)
+    for _ in range(30):
+        pool = sorted(rng.sample(range(40), rng.randint(0, 12)))
+        for pick in range(len(pool) + 1):
+            for limit in (1, 2, 7, float("inf")):
+                jobs = list(bootstrap._jobs((99,), pool, pick, limit))
+                scanned = [(*prefix, *combo) for prefix, sub, k in jobs
+                           for combo in itertools.combinations(sub, k)]
+                assert scanned == [(99, *combo) for combo in itertools.combinations(pool, pick)]
+                assert all(comb(len(sub), k) <= max(limit, 1) for _, sub, k in jobs)
 
 
 def test_search_parallel_path_matches_sequential(monkeypatch):
@@ -291,6 +303,9 @@ def test_search_parallel_path_matches_sequential(monkeypatch):
     assert witness == search_percolating_set(4, 4, 8, workers=1) == VertexSet.of(
         4, [0, 3, 5, 6, 9, 10, 12, 15]
     )
+    # 34,735 candidate sets, split into jobs over several leading pool members
+    assert search_percolating_set(5, 4, 6, workers=2) is None
+    assert search_percolating_set(5, 4, 6, workers=1) is None
 
 
 @pytest.mark.longrun

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Iterator
 
@@ -33,6 +32,7 @@ from .hypercube import (
     D_MAX,
     DomainError,
     VertexSet,
+    _iter_bits,
     check_dimension,
     neighbors,
     weight,
@@ -42,6 +42,9 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 
 # searches with fewer candidate sets than this run in-process even when workers > 1
 _PARALLEL_MIN = 50_000
+
+# maps each byte to 1 if it is nonzero, else 0: the selector itertools.compress takes
+_NONZERO_BYTES = bytes([0] + [1] * 255)
 
 # A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
 _BLOCK_BITS = 16
@@ -202,15 +205,28 @@ class InfectionTrace:
     percolated: bool
 
     def to_json(self) -> dict:
-        # rounds are nested, so the last one names every vertex that appears
+        # Rounds are nested, so the last one names every vertex that appears.
+        # Positions count bits of the state bytes that hold a member of the
+        # last round, so the name table is at most 8 times the last round.
+        # Each round is the round before plus its new members: two ascending
+        # runs of positions that sorted() merges in C.
+        size = ((1 << self.d) + 7) // 8
+        keep = self.rounds[-1].bits.to_bytes(size, "little").translate(_NONZERO_BYTES)
+
+        def kept(s: VertexSet) -> int:  # the kept bytes of s, as one integer
+            return int.from_bytes(bytes(compress(s.bits.to_bytes(size, "little"), keep)), "little")
+
         fmt = f"0{self.d}b"
-        names = {v: format(v, fmt)[::-1] for v in self.rounds[-1]}
-        return {
-            "d": self.d,
-            "r": self.r,
-            "rounds": [list(map(names.__getitem__, stage)) for stage in self.rounds],
-            "percolated": self.percolated,
-        }
+        table = [None] * (8 * keep.count(1))
+        for p, v in zip(_iter_bits(kept(self.rounds[-1])), self.rounds[-1]):
+            table[p] = format(v, fmt)[::-1]
+        rounds, taken, before = [], [], 0
+        for s in self.rounds:
+            bits = kept(s)
+            taken = sorted(taken + list(_iter_bits(bits & ~before)))
+            rounds.append(list(map(table.__getitem__, taken)))
+            before = bits
+        return {"d": self.d, "r": self.r, "rounds": rounds, "percolated": self.percolated}
 
 
 def trace(a0: VertexSet, r: int) -> InfectionTrace:
@@ -342,6 +358,9 @@ def search_percolating_set(
     jobs = [job for prefix, pool, _ in spaces
             for job in _jobs(prefix, pool, size - len(prefix), chunk)]
     if parallel:
+        # imported here: it adds about 20 ms to every CLI start, and only this path needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as executor:
             futures = [executor.submit(_scan, d, r, *job) for job in jobs]
             found = next(filter(None, (future.result() for future in futures)), None)

@@ -54,12 +54,30 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_trace(path: str, payload: dict) -> None:
+    """Write a trace as _write_json would, one round at a time.
+
+    Vertex names are 0/1 strings, so they need no escaping; the whole text
+    is never held in memory.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f'{{\n  "d": {payload["d"]},\n  "percolated": {json.dumps(payload["percolated"])},'
+            f'\n  "r": {payload["r"]},\n  "rounds": [\n'
+        )
+        for t, names in enumerate(payload["rounds"]):
+            if t:
+                fh.write(",\n")
+            fh.write('    [\n      "' + '",\n      "'.join(names) + '"\n    ]' if names else "    []")
+        fh.write("\n  ]\n}\n")
+
+
 def _close(seed, r: int, trace_path: str | None):
     """The closure and its round count; with a trace path, also write the trace JSON."""
     if not trace_path:
         return closure_rounds(seed, r)
     history = trace(seed, r)
-    _write_json(trace_path, history.to_json())
+    _write_trace(trace_path, history.to_json())
     return history.rounds[-1], len(history.rounds) - 1
 
 

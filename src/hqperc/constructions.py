@@ -17,18 +17,19 @@ Dimensions above the catalog are assembled recursively.  _recipe is the one
 route function: threshold 3 steps down by 3 (odd d) or 6 (even d), threshold
 4 by 4 or 12 according to d mod 6, with a dedicated route at d = 17.  It
 sizes every node from the catalog tables, so recipes and construction_size
-read no asset; _members builds the members by walking the recipe.  One
-embedding takes the selector position as a parameter: the recursive
-assembler puts the selector on the top k coordinates, so the threshold-2
-family lands inside the threshold-3 family member for member and members
-come out ascending; product_construction puts it on the first k, matching
-its documented contract.  Every node's size is asserted against the
-realized cardinality (embedded blocks never overlap).
+read no asset; _members builds the members by walking the recipe, each
+distinct node once.  One embedding takes the selector position as a
+parameter: the recursive assembler puts the selector on the top k
+coordinates, so the threshold-2 family lands inside the threshold-3 family
+member for member and members come out ascending; product_construction puts
+it on the first k, matching its documented contract.  Every node's size is
+asserted against the realized cardinality (embedded blocks never overlap).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Sequence, Union
@@ -199,11 +200,39 @@ def _recipe(d: int, r: int) -> Recipe:
 
 
 def _members(d: int, r: int) -> tuple[int, ...]:
-    """Ascending members of the seed that _recipe(d, r) describes."""
+    """Ascending members of the seed that _recipe(d, r) describes.
+
+    Each distinct recipe node is built once.  A built node is kept only
+    until the last of its parents has taken it, so no finished subtree
+    stays in memory.
+    """
+    pending = Counter()  # for each node: its parents, and the caller, yet to take it
+
+    def count(d: int, r: int) -> None:
+        pending[d, r] += 1
+        recipe = _recipe(d, r)
+        if pending[d, r] == 1 and isinstance(recipe, Product):
+            for i in range(1, r + 1):
+                count(d - recipe.k, i)
+
+    count(d, r)
+    built: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def take(d: int, r: int) -> tuple[int, ...]:
+        if (d, r) not in built:
+            built[d, r] = _build(d, r, take)
+        pending[d, r] -= 1
+        return built[d, r] if pending[d, r] else built.pop((d, r))
+
+    return take(d, r)
+
+
+def _build(d: int, r: int, take) -> tuple[int, ...]:
+    """The members of one recipe node, its children fetched through take."""
     recipe = _recipe(d, r)
     if isinstance(recipe, Product):
         k = recipe.k
-        blocks = [_members(d - k, i) for i in range(1, r + 1)]
+        blocks = [take(d - k, i) for i in range(1, r + 1)]
         members = tuple(_embed(catalog_labeling(k), blocks, d - k, 0))
     elif r <= 2:
         members = (0,) if r == 1 else _pair_members(d)

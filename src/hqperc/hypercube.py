@@ -298,12 +298,46 @@ _SIZE_DIRECTIVE = "# expected-size:"
 
 def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
     """Parse the line-based vertex-set format; raises FormatError with line numbers."""
+    lines = list(map(str.strip, text.splitlines()))
+    s = _parse_bulk(lines, d)
+    return _parse_lines(lines, d) if s is None else s
+
+
+def _parse_bulk(lines: list[str], d: int | None) -> VertexSet | None:
+    """The set a valid text describes, or None at any fault.
+
+    The data lines are matched and converted by C-level iteration; a
+    duplicate shows as a state with fewer bits than lines.
+    """
+    data = [line for line in lines if line and line[0] != "#"]
+    dim = d if d is not None else len(data[0]) if data else None
+    if not (
+        type(dim) is int
+        and 1 <= dim <= D_MAX
+        and all(map(re.compile(f"[01]{{{dim}}}").fullmatch, data))
+    ):
+        return None
+    bits = _bits_of(dim, (int(line[::-1], 2) for line in data))
+    try:
+        sizes = {
+            int(line[len(_SIZE_DIRECTIVE):].strip())
+            for line in lines
+            if line[:1] == "#" and line.lower().startswith(_SIZE_DIRECTIVE)
+        }
+    except ValueError:
+        return None
+    if bits.bit_count() != len(data) or not sizes <= {len(data)}:
+        return None
+    return VertexSet(dim, bits)
+
+
+def _parse_lines(lines: list[str], d: int | None) -> VertexSet:
+    """The per-line parser over stripped lines; it names the first bad line."""
     buf = None
     dim = d
     expected: int | None = None
     count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         if line.startswith("#"):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import sys
 
 import pytest
 
@@ -11,10 +13,13 @@ from hqperc import (
     catalog_labeling,
     catalog_seed,
     format_labeling,
+    format_vertex,
     format_vertex_set,
     prefix_embed,
+    trace,
 )
 from hqperc.cli import main
+from test_constructions import _run_fresh
 
 
 def run(capsys, *argv):
@@ -290,6 +295,69 @@ def test_multi_block_closure_trace_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
         "04cabc9e80b7a06867381f9fb5b8432377813fa320ca4b2d74737506a65d2ac7"
     )
+
+
+def _trace_cases():
+    rng = random.Random(20)
+    for d in range(1, 9):
+        for r in range(1, d + 1):
+            for _ in range(3):
+                size = rng.randint(1, max(1, (1 << d) // 4))
+                yield VertexSet.of(d, rng.sample(range(1 << d), size)), r
+    yield VertexSet.empty(5), 2  # one empty round
+    yield VertexSet.of(6, [0, 7]), 2  # does not percolate
+    yield VertexSet.full(4), 3  # already fixed
+    # two blocks of 2^16 bits, seven rounds, does not percolate
+    yield VertexSet.of(17, [0, 1 | 1 << 16, 0b110 | 1 << 16, 0b1000 | 1 << 16, 0b11000]), 2
+
+
+def test_written_trace_is_the_json_dump_of_to_json(capsys, tmp_path):
+    path = tmp_path / "seed.set"
+    trace_path = tmp_path / "trace.json"
+    outcomes = set()
+    for seed, r in _trace_cases():
+        path.write_text(format_vertex_set(seed))
+        code, _, _ = run(
+            capsys, "closure", "--set", str(path), "--d", str(seed.d), "--r", str(r),
+            "--trace", str(trace_path),
+        )
+        assert code == 0
+        history = trace(seed, r)
+        payload = history.to_json()
+        assert payload["rounds"] == [[format_vertex(v, seed.d) for v in s] for s in history.rounds]
+        dumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert trace_path.read_bytes() == dumped.encode()
+        outcomes.add((history.percolated, len(history.rounds) == 1))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_trace_is_written_without_holding_its_text(tmp_path):
+    # the Q_14 catalog seed closes in 229 rounds; its trace JSON is 23.4 MB.  The
+    # command's payload adds about 11 MiB to the peak, the joined text would add its size
+    seed_path = tmp_path / "seed.set"
+    seed_path.write_text(format_vertex_set(catalog_seed(14)))
+    trace_path = tmp_path / "trace.json"
+    done = _run_fresh(
+        f"""
+        from hqperc.cli import main
+
+        def peak():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+        before = peak()
+        argv = ["closure", "--set", {str(seed_path)!r}, "--d", "14", "--r", "4",
+                "--trace", {str(trace_path)!r}]
+        assert main(argv) == 0
+        print(peak() - before)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    size = trace_path.stat().st_size
+    assert size >= 10_000_000
+    grown = int(done.stdout.splitlines()[-1]) * 1024
+    assert grown < 0.75 * size
 
 
 def test_memory_exhaustion_exits_3(capsys, monkeypatch, tmp_path):

@@ -259,6 +259,30 @@ def test_members_keep_no_recipe_node_alive():
     assert int(done.stdout) < 110 * 1024  # KiB
 
 
+def test_members_build_each_recipe_node_once(monkeypatch):
+    from hqperc import constructions
+
+    def nodes(d, r, recipe):
+        yield d, r
+        if isinstance(recipe, Product):
+            for i, child in enumerate(recipe.children, start=1):
+                yield from nodes(d - recipe.k, i, child)
+
+    builds = []
+    build = constructions._build
+
+    def counted(d, r, take):
+        builds.append((d, r))
+        return build(d, r, take)
+
+    monkeypatch.setattr(constructions, "_build", counted)
+    for d, r in ((200, 4), (120, 4), (57, 3), (30, 4), (12, 4), (5, 2)):
+        builds.clear()
+        construct_members(d, r)
+        assert sorted(builds) == sorted(set(nodes(d, r, construct_recipe(d, r))))
+    assert len(builds) == 1  # a leaf
+
+
 def test_size_laws_to_60():
     for d in range(3, 61):
         assert construction_size(d, 3) == formula_m3(d)

@@ -18,6 +18,7 @@ from hqperc import (
     prefix_embed,
     weight,
 )
+from hqperc.hypercube import D_MAX, check_dimension
 
 
 def test_neighbors_of_origin_q3():
@@ -262,3 +263,128 @@ def test_parse_vertex_set_features_and_errors():
 def test_parse_vertex_set_expected_size_directive_ok():
     s = parse_vertex_set("# expected-size: 2\n00001\n10000\n")
     assert len(s) == 2 and s.d == 5
+
+
+def _reference_parse(text, d=None):
+    """The per-line parser, kept as the reference for parse_vertex_set."""
+    buf = None
+    dim = d
+    expected = None
+    count = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.lower().startswith("# expected-size:"):
+                value = line[len("# expected-size:"):].strip()
+                try:
+                    declared = int(value)
+                except ValueError:
+                    raise FormatError(f"bad expected-size value {value!r}", lineno)
+                if expected is not None and expected != declared:
+                    raise FormatError("conflicting expected-size directives", lineno)
+                expected = declared
+            continue
+        if dim is None:
+            if len(line) > D_MAX:
+                raise FormatError(f"dimension too large: {len(line)} > {D_MAX}", lineno)
+            dim = len(line)
+        try:
+            v = parse_vertex(line, dim)
+        except FormatError as exc:
+            raise FormatError(str(exc), lineno) from None
+        if buf is None:
+            buf = bytearray(((1 << check_dimension(dim)) + 7) // 8)
+        mask = 1 << (v & 7)
+        if buf[v >> 3] & mask:
+            raise FormatError(f"duplicate vertex {line}", lineno)
+        buf[v >> 3] |= mask
+        count += 1
+    if dim is None:
+        raise FormatError("no vertices and no dimension given")
+    if expected is not None and expected != count:
+        raise FormatError(f"expected-size {expected} but found {count} vertices")
+    return VertexSet(dim, int.from_bytes(buf or b"", "little"))
+
+
+def _outcome(parse, text, d):
+    try:
+        return parse(text, d)
+    except (FormatError, DomainError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("# expected-size: 2\r\n101\r\n011\r\n", None),  # CRLF
+        ("  101 \n\t011\t\n \n", 3),  # whitespace-padded lines
+        ("# EXPECTED-SIZE: 2\n101\n011\n", None),
+        ("# expected-size: 02\n101\n011\n", None),
+        ("# expected-size: 2\n101\n# expected-size: 3\n011\n", None),
+        ("# expected-size: 2\n101\n# expected-size: 002\n011\n", None),
+        ("# expected-size: two\n101\n", None),
+        ("# expected-size: 3\n101\n011\n", None),
+        ("11100000\n00010000\n# note\n\n00010000\n11100000\n", None),  # duplicate at a byte boundary
+        ("1" * (D_MAX + 1) + "\n", None),  # longer than D_MAX, no d given
+        ("101\n", 4),  # d mismatch
+        ("101\n0110\n", None),
+        ("1x1\n", None),
+        ("1\uff101\n", None),  # a non-ASCII digit
+        ("0" * (D_MAX + 2) + "\n", D_MAX + 2),
+        ("# expected-size: 0\n", 5),  # no data lines, d given
+        ("# comment only\n", None),
+        ("", None),
+        ("", 0),
+    ],
+)
+def test_parse_vertex_set_matches_the_per_line_parser(text, d):
+    assert _outcome(parse_vertex_set, text, d) == _outcome(_reference_parse, text, d)
+
+
+def _random_vertex_text(rng):
+    d = rng.randint(1, 10)
+    vertices = rng.sample(range(1 << d), rng.randint(0, min(24, 1 << d)))
+    if vertices and rng.random() < 0.15:
+        vertices.insert(rng.randrange(len(vertices) + 1), rng.choice(vertices))
+    lines = [format_vertex(v, d) for v in vertices]
+    n = len(vertices)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(lines) + 1)
+        op = rng.randrange(5)
+        if op == 0:
+            lines.insert(at, rng.choice(["# note", "#", "", "   ", "\t"]))
+        elif op == 1:
+            lines.insert(at, rng.choice([
+                f"# expected-size: {n}", f"# EXPECTED-SIZE: {n}", f"# expected-size: 0{n}",
+                f"#  Expected-Size:{n}", f"# expected-size: {n + 1}", "# expected-size: x",
+                f"# expected-size:   {n}  ",
+            ]))
+        elif op == 2 and lines:
+            lines[at - 1] = rng.choice([" ", "\t", ""]) + lines[at - 1] + rng.choice([" ", ""])
+        elif op == 3 and lines and rng.random() < 0.5:
+            line = lines[at - 1]
+            i = rng.randrange(len(line) + 1)
+            lines[at - 1] = rng.choice([
+                line[:i] + "x" + line[i + 1:], line[:i] + line[i + 1:], line[:i] + "1" + line[i:],
+            ])
+        elif op == 4 and rng.random() < 0.2:
+            lines.insert(at, "1" * (D_MAX + 1))
+    end = rng.choice(["\n", "\r\n", "\r"])
+    text = end.join(lines) + rng.choice(["", end])
+    return text, rng.choice([None, None, d, d, d + 1, d - 1])
+
+
+def test_parse_vertex_set_matches_the_per_line_parser_on_random_texts():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(3000):
+        text, d = _random_vertex_text(rng)
+        got = _outcome(parse_vertex_set, text, d)
+        assert got == _outcome(_reference_parse, text, d), (text, d)
+        # the first word of the message, after any "line N: "
+        kinds.add("ok" if isinstance(got, VertexSet) else got[1].split(": ", 1)[-1].split()[0])
+    assert kinds >= {
+        "ok", "duplicate", "expected", "not", "conflicting", "bad", "expected-size", "dimension"
+    }

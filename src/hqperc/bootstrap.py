@@ -13,8 +13,8 @@ A round recomputes only the blocks that are not full and that changed in
 the round before or border one that did, at O(d * 2^b / w) word operations
 each.  ``_rounds`` runs that round to the fixed point for closure, trace and
 step; the search and the meta process call its kernel, ``_round_bits``.  By
-Aut(Q_d) symmetry the search scans only sets that can be the first witness,
-split into jobs by leading members and enumerated by itertools.combinations.
+Aut(Q_d) symmetry the search scans, in one process, only the sets that can
+be the first witness, enumerated by itertools.combinations.
 A naive per-vertex rescan engine is kept as an independent reference; the
 two must agree on every input.
 """
@@ -32,6 +32,7 @@ from .hypercube import (
     D_MAX,
     DomainError,
     VertexSet,
+    _bits_of,
     _iter_bits,
     check_dimension,
     neighbors,
@@ -39,9 +40,6 @@ from .hypercube import (
 )
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-# searches with fewer candidate sets than this run in-process even when workers > 1
-_PARALLEL_MIN = 50_000
 
 # maps each byte to 1 if it is nonzero, else 0: the selector itertools.compress takes
 _NONZERO_BYTES = bytes([0] + [1] * 255)
@@ -66,7 +64,8 @@ def _check_threshold(r: int, d: int) -> int:
 def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state.
 
-    Only a block's low coordinates are swapped, so d <= _BLOCK_BITS here.
+    ``_rounds`` asks for a block's low coordinates, d <= _BLOCK_BITS; ``_scan``
+    swaps every coordinate of the whole cube, at any d <= D_MAX.
     """
     n = 1 << d
     masks = []
@@ -254,18 +253,6 @@ def reference_closure(a0: VertexSet, r: int) -> VertexSet:
         infected |= added
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("HQPERC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"HQPERC_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
     """Prefix, pool and set count of the spaces that hold the first percolating size-set.
 
@@ -286,30 +273,20 @@ def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int
         yield (0, x), pool, comb(len(pool), size - 2)
 
 
-def _jobs(prefix: tuple[int, ...], pool: list[int], pick: int,
-          limit: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """Split the sets prefix + C, C a pick-subset of pool, into jobs of at most
-    max(limit, 1) sets by their leading pool members, in lexicographic order."""
-    if pick == 0 or comb(len(pool), pick) <= limit:
-        yield prefix, pool, pick
-        return
-    for j in range(len(pool) - pick + 1):
-        yield from _jobs(prefix + (pool[j],), pool[j + 1:], pick - 1, limit)
-
-
 def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
           pick: int) -> tuple[int, ...] | None:
     """The first percolating set prefix + C, C running over the pick-subsets of
     pool in lexicographic order, or None."""
     masks, full = _masks_for(d)
-    base = sum(1 << v for v in prefix)
-    # prefix and pool are disjoint and the bits distinct, so the sums are ORs
-    for combo in combinations([1 << v for v in pool], pick):
-        bits = base + sum(combo)
+    base = _bits_of(d, prefix)
+    # _bits_of is linear in 2^d / 8 + pick; a sum or a table of 1 << v would be
+    # quadratic in 2^d at the near-full sizes the budget admits
+    for combo in combinations(pool, pick):
+        bits = base | _bits_of(d, combo)
         while (new := _round_bits(bits, d, r, masks, full)) != bits:
             bits = new
         if bits == full:
-            return (*prefix, *(b.bit_length() - 1 for b in combo))
+            return (*prefix, *combo)
     return None
 
 
@@ -323,12 +300,12 @@ def search_percolating_set(
     """Exhaustively look for a percolating set of exactly the given cardinality.
 
     Returns the lexicographically first one, or None when none exists.  Only the
-    sets of ``_spaces`` are scanned; they come in lexicographic order and hold
-    the first witness.  Workers scan jobs split off by leading pool members
-    (``_jobs``), also in lexicographic order and each enumerated by
-    itertools.combinations, so the result is unchanged.  A search whose subset
-    count C(2^d, size) exceeds the budget refuses to start and raises
-    SearchAborted; pass an explicit budget to opt in to larger scans.
+    sets of ``_spaces`` are scanned, one space at a time in one process; they come
+    in lexicographic order and hold the first witness, and each is enumerated by
+    itertools.combinations.  ``workers`` is accepted for compatibility and changes
+    nothing.  A search whose subset count C(2^d, size) exceeds the budget refuses
+    to start and raises SearchAborted; pass an explicit budget to opt in to larger
+    scans.
     """
     check_dimension(d)
     _check_threshold(r, d)
@@ -348,25 +325,16 @@ def search_percolating_set(
             f"search aborted: C({n}, {size}) = {total} subsets exceeds budget {limit}"
         )
 
-    nworkers = _worker_count(workers)
+    threads = os.environ.get("HQPERC_THREADS")
+    if workers is None and threads:
+        try:
+            int(threads)  # still validated, though the search runs in one process
+        except ValueError:
+            raise DomainError(f"HQPERC_THREADS must be an integer, got {threads!r}")
     if size == 0:
         return None  # the empty seed never percolates for r >= 1, d >= 1
-    spaces = list(_spaces(d, size))
-    candidates = sum(count for *_, count in spaces)
-    parallel = nworkers > 1 and candidates >= _PARALLEL_MIN
-    chunk = -(-candidates // (nworkers * 4)) if parallel else candidates
-    jobs = [job for prefix, pool, _ in spaces
-            for job in _jobs(prefix, pool, size - len(prefix), chunk)]
-    if parallel:
-        # imported here: it adds about 20 ms to every CLI start, and only this path needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers) as executor:
-            futures = [executor.submit(_scan, d, r, *job) for job in jobs]
-            found = next(filter(None, (future.result() for future in futures)), None)
-            executor.shutdown(cancel_futures=True)
-    else:
-        found = next(filter(None, (_scan(d, r, *job) for job in jobs)), None)
-    if found is None:
-        return None
-    return VertexSet.of(d, found)
+    for prefix, pool, _ in _spaces(d, size):
+        found = _scan(d, r, prefix, pool, size - len(prefix))
+        if found is not None:
+            return VertexSet.of(d, found)
+    return None

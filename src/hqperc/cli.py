@@ -6,8 +6,9 @@ found), 1 definite negative, 2 usage or parse error, 3 resource cap
 (search past its budget, verification requested above the simulation
 cap, or memory exhausted).  Identical inputs produce byte-identical outputs.
 
-The HQPERC_THREADS environment variable overrides the worker count used to
-partition exhaustive searches (default: hardware parallelism).
+Exhaustive searches run in one process.  The HQPERC_THREADS environment
+variable is still validated (a non-integer is a usage error) but changes
+nothing else.
 """
 
 from __future__ import annotations

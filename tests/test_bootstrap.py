@@ -274,21 +274,8 @@ def test_search_spaces_count_the_candidate_sets():
         assert sum(count for *_, count in bootstrap._spaces(5, size)) == total
 
 
-def test_jobs_split_the_combinations_in_order():
-    rng = random.Random(9)
-    for _ in range(30):
-        pool = sorted(rng.sample(range(40), rng.randint(0, 12)))
-        for pick in range(len(pool) + 1):
-            for limit in (1, 2, 7, float("inf")):
-                jobs = list(bootstrap._jobs((99,), pool, pick, limit))
-                scanned = [(*prefix, *combo) for prefix, sub, k in jobs
-                           for combo in itertools.combinations(sub, k)]
-                assert scanned == [(99, *combo) for combo in itertools.combinations(pool, pick)]
-                assert all(comb(len(sub), k) <= max(limit, 1) for _, sub, k in jobs)
-
-
-def test_search_parallel_path_matches_sequential(monkeypatch):
-    monkeypatch.setattr(bootstrap, "_PARALLEL_MIN", 10)
+def test_search_parallel_path_matches_sequential():
+    # the search runs in one process: workers must change nothing
     sequential = search_percolating_set(3, 2, 2, workers=1)
     parallel = search_percolating_set(3, 2, 2, workers=2)
     assert sequential == parallel
@@ -303,14 +290,19 @@ def test_search_parallel_path_matches_sequential(monkeypatch):
     assert witness == search_percolating_set(4, 4, 8, workers=1) == VertexSet.of(
         4, [0, 3, 5, 6, 9, 10, 12, 15]
     )
-    # 34,735 candidate sets, split into jobs over several leading pool members
+    # 34,735 candidate sets
     assert search_percolating_set(5, 4, 6, workers=2) is None
     assert search_percolating_set(5, 4, 6, workers=1) is None
+    # 521,731 candidate sets under the default budget; the witness is the first of them
+    witness = search_percolating_set(10, 4, 1022, workers=2)
+    assert witness == search_percolating_set(10, 4, 1022, workers=1) == VertexSet.of(
+        10, range(1022)
+    )
 
 
 @pytest.mark.longrun
 def test_no_eight_vertex_seed_percolates_q5():
-    # 668,389 candidate sets of C(32, 8) = 10,518,300, scanned by two worker processes
+    # 668,389 candidate sets of C(32, 8) = 10,518,300, scanned in one process
     assert search_percolating_set(5, 4, 8, budget=10_518_300, workers=2) is None
 
 

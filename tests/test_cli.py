@@ -542,3 +542,30 @@ def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--d", "2", "--r", "2", "--size", "2")
     assert code == 2
     assert "HQPERC_THREADS" in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("d", [16, pytest.param(18, marks=pytest.mark.longrun)])
+def test_near_full_search_stays_small(monkeypatch, d, threads):
+    # C(2^d, 2^d - 1) = 2^d sets fit the default budget, and the first of them
+    # percolates.  A table of the states 1 << v, v < 2^d, alone takes 256 MiB at d = 16
+    if threads is None:
+        monkeypatch.delenv("HQPERC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HQPERC_THREADS", threads)
+    n = 1 << d
+    done = _run_fresh(
+        f"""
+        import sys
+        from hqperc.cli import main
+
+        code = main(["search", "--d", "{d}", "--r", "4", "--size", "{n - 1}"])
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+        sys.exit(code)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == format_vertex_set(VertexSet.of(d, range(n - 1)), header=False)
+    assert int(done.stderr) < 100 * 1024  # KiB

@@ -12,9 +12,15 @@ accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter.
 A round recomputes only the blocks that are not full and that changed in
 the round before or border one that did, at O(d * 2^b / w) word operations
 each.  ``_rounds`` runs that round to the fixed point for closure, trace and
-step; the search and the meta process call its kernel, ``_round_bits``.  By
-Aut(Q_d) symmetry the search scans, in one process, only the sets that can
-be the first witness, enumerated by itertools.combinations.
+step; the meta process calls its kernel, ``_round_bits``, whose counter and
+comparison are ``_at_least``.
+
+By Aut(Q_d) symmetry the search scans, in one process, only the sets that
+can be the first witness, in lexicographic order.  On small cubes it
+decides them in lane batches (bit-slicing across instances, after Biham,
+FSE 1997): vertex v's state is one int whose bit c records v in the c-th
+set of the batch, and one ``_at_least`` per vertex updates every set at
+once.  Larger cubes, whose pools are long, take the per-set ``_scan``.
 A naive per-vertex rescan engine is kept as an independent reference; the
 two must agree on every input.
 """
@@ -23,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, islice
 from math import comb
 from typing import Iterator
 
@@ -47,6 +52,13 @@ _NONZERO_BYTES = bytes([0] + [1] * 255)
 # A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
 _BLOCK_BITS = 16
 
+# A lane batch decides at most _LANES candidate sets: one bit each in every vertex's int.
+# At d = 5, r = 4, size 13, 2^17 lanes (16 KiB ints) took 2.5 s and 19 MiB, 2^21 3.8 s and 80 MiB.
+_LANES = 1 << 17
+# The lane round visits each of the 2^d vertices in Python every sweep, and its
+# pattern memo grows with the pool (at most 2^d - 2 members): lanes up to d = 6.
+_LANE_D = 6
+
 
 class SearchAborted(RuntimeError):
     """An exhaustive search refused to run past its subset budget."""
@@ -64,8 +76,7 @@ def _check_threshold(r: int, d: int) -> int:
 def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state.
 
-    ``_rounds`` asks for a block's low coordinates, d <= _BLOCK_BITS; ``_scan``
-    swaps every coordinate of the whole cube, at any d <= D_MAX.
+    Cached, so callers pass block widths, d <= _BLOCK_BITS; _cube_masks serves any d.
     """
     n = 1 << d
     masks = []
@@ -80,23 +91,26 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << n) - 1
 
 
+def _cube_masks(d: int) -> tuple[tuple[int, ...], int]:
+    """_masks_for(d) at any d <= D_MAX; above the block width they are built per call.
+
+    Whole-cube masks take d * 2^d / 8 bytes (896 MiB at d = 28), too much to keep.
+    """
+    return _masks_for(d) if d <= _BLOCK_BITS else _masks_for.__wrapped__(d)
+
+
 _plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
 
 
-def _round_bits(bits: int, d: int, r: int, masks, full: int, extra=()) -> int:
-    """One synchronous update of a raw state integer.
+def _at_least(r: int, images, full: int) -> int:
+    """The lanes set in at least r of the images.
 
-    extra holds neighbour images beyond the d coordinates, such as neighbouring blocks.
+    The images are added into ceil(log2(r + 1)) bit planes of a saturating
+    binary counter, then compared with r bit-sliced.
     """
     nplanes = _plane_count(r)
     planes = [0] * nplanes
-    for i in range(d + len(extra)):
-        if i < d:
-            s = 1 << i
-            m = masks[i]
-            carry = ((bits & m) << s) | ((bits >> s) & m)
-        else:
-            carry = extra[i - d]
+    for carry in images:
         for j in range(nplanes):
             t = planes[j] & carry
             planes[j] ^= carry
@@ -115,7 +129,16 @@ def _round_bits(bits: int, d: int, r: int, masks, full: int, extra=()) -> int:
             eq &= planes[j]
         else:
             ge |= eq & planes[j]
-    return bits | ge | eq
+    return ge | eq
+
+
+def _round_bits(bits: int, d: int, r: int, masks, full: int, extra=()) -> int:
+    """One synchronous update of a raw state integer.
+
+    extra holds neighbour images beyond the d coordinates, such as neighbouring blocks.
+    """
+    images = (((bits & masks[i]) << (1 << i)) | ((bits >> (1 << i)) & masks[i]) for i in range(d))
+    return bits | _at_least(r, chain(images, extra), full)
 
 
 def _split(bits: int, d: int) -> tuple[list[int], int]:
@@ -189,19 +212,42 @@ def step(a: VertexSet, r: int) -> VertexSet:
     return a
 
 
-@dataclass(frozen=True)
 class InfectionTrace:
     """The full synchronous round history of a bootstrap run.
 
     rounds[t] is the set infected after t rounds; the list stops at the
     first fixed point, so the final element equals the closure and no two
     consecutive entries are equal (unless the seed is already fixed).
+    An immutable record; not a tuple, so it is never taken for the
+    (closure, rounds) pair that closure_rounds returns.
     """
 
-    d: int
-    r: int
-    rounds: tuple[VertexSet, ...]
-    percolated: bool
+    __slots__ = ("d", "r", "rounds", "percolated")
+
+    def __init__(self, d: int, r: int, rounds: tuple[VertexSet, ...], percolated: bool):
+        for name, value in zip(self.__slots__, (d, r, rounds, percolated)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InfectionTrace is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("InfectionTrace is immutable")
+
+    def _key(self) -> tuple:
+        return self.d, self.r, self.rounds, self.percolated
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"InfectionTrace(d={self.d!r}, r={self.r!r}, rounds={self.rounds!r},"
+                f" percolated={self.percolated!r})")
 
     def to_json(self) -> dict:
         # Rounds are nested, so the last one names every vertex that appears.
@@ -277,7 +323,7 @@ def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
           pick: int) -> tuple[int, ...] | None:
     """The first percolating set prefix + C, C running over the pick-subsets of
     pool in lexicographic order, or None."""
-    masks, full = _masks_for(d)
+    masks, full = _cube_masks(d)
     base = _bits_of(d, prefix)
     # _bits_of is linear in 2^d / 8 + pick; a sum or a table of 1 << v would be
     # quadratic in 2^d at the near-full sizes the budget admits
@@ -287,6 +333,77 @@ def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
             bits = new
         if bits == full:
             return (*prefix, *combo)
+    return None
+
+
+def _batches(fixed: tuple[int, ...], tail: tuple[int, ...],
+             t: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Split the sets fixed + C, C a t-subset of tail, into batches of at most _LANES sets.
+
+    A batch (fixed', tail', t') holds fixed' + C', C' a t'-subset of tail'.
+    The sets holding tail[0] come first, so the batches keep the lexicographic
+    order of the sets.
+    """
+    if comb(len(tail), t) <= _LANES:
+        yield fixed, tail, t
+    else:
+        yield from _batches((*fixed, tail[0]), tail[1:], t - 1)
+        yield from _batches(fixed, tail[1:], t)
+
+
+def _lane_patterns(q: int, t: int, memo: dict) -> list[int]:
+    """For each j < q, the lanes whose set holds j: lane c is the c-th t-subset of range(q).
+
+    Subsets come in combinations order: the C(q - 1, t - 1) holding 0, then
+    those that do not, so each list is two shorter ones shifted and ORed.
+    """
+    if t == 0 or t == q:  # one lane: the empty set or all of range(q)
+        return [1 if t else 0] * q
+    if (q, t) not in memo:
+        held = comb(q - 1, t - 1)
+        memo[q, t] = [(1 << held) - 1, *(
+            a | b << held
+            for a, b in zip(_lane_patterns(q - 1, t - 1, memo), _lane_patterns(q - 1, t, memo))
+        )]
+    return memo[q, t]
+
+
+def _lane_scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
+               pick: int) -> tuple[int, ...] | None:
+    """_scan's answer, deciding a batch of sets per closure.
+
+    Vertex v's state is one int over the batch's lanes: bit c is set when v
+    is infected in the c-th set.  A sweep takes each vertex in turn and adds
+    the lanes where r of its neighbours are infected; since the process is
+    monotone, sweeping in place until nothing changes reaches every lane's
+    closure.  The lanes infected at every vertex percolate, and the lowest
+    of them is the batch's first witness.
+    """
+    flips = [1 << i for i in range(d)]
+    memo = {}
+    for fixed, tail, t in _batches(tuple(prefix), tuple(pool), pick):
+        lanes = comb(len(tail), t)
+        if not lanes:
+            continue
+        full = (1 << lanes) - 1
+        state = [0] * (1 << d)
+        for v in fixed:
+            state[v] = full
+        for v, held in zip(tail, _lane_patterns(len(tail), t, memo)):
+            state[v] = held
+        changed = True
+        while changed:
+            changed = False
+            for v, x in enumerate(state):
+                if x != full:
+                    new = x | _at_least(r, [state[v ^ f] for f in flips], full)
+                    if new != x:
+                        state[v] = new
+                        changed = True
+        hit = functools.reduce(int.__and__, state)
+        if hit:
+            lane = (hit & -hit).bit_length() - 1
+            return (*fixed, *next(islice(combinations(tail, t), lane, None)))
     return None
 
 
@@ -301,11 +418,13 @@ def search_percolating_set(
 
     Returns the lexicographically first one, or None when none exists.  Only the
     sets of ``_spaces`` are scanned, one space at a time in one process; they come
-    in lexicographic order and hold the first witness, and each is enumerated by
-    itertools.combinations.  ``workers`` is accepted for compatibility and changes
-    nothing.  A search whose subset count C(2^d, size) exceeds the budget refuses
-    to start and raises SearchAborted; pass an explicit budget to opt in to larger
-    scans.
+    in lexicographic order and hold the first witness.  At d <= _LANE_D, where
+    pools hold at most 2^d - 2 members, ``_lane_scan`` decides each space in
+    batches of up to _LANES sets; at larger d, with long pools, ``_scan``
+    decides one set at a time, in itertools.combinations order.  ``workers`` is
+    accepted for compatibility and changes nothing.  A search whose subset count
+    C(2^d, size) exceeds the budget refuses to start and raises SearchAborted; pass
+    an explicit budget to opt in to larger scans.
     """
     check_dimension(d)
     _check_threshold(r, d)
@@ -333,8 +452,9 @@ def search_percolating_set(
             raise DomainError(f"HQPERC_THREADS must be an integer, got {threads!r}")
     if size == 0:
         return None  # the empty seed never percolates for r >= 1, d >= 1
+    scan = _lane_scan if d <= _LANE_D else _scan
     for prefix, pool, _ in _spaces(d, size):
-        found = _scan(d, r, prefix, pool, size - len(prefix))
+        found = scan(d, r, prefix, pool, size - len(prefix))
         if found is not None:
             return VertexSet.of(d, found)
     return None

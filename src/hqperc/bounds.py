@@ -8,7 +8,7 @@ ceiled rational bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from math import comb
 
 from .constructions import THRESHOLDS, construction_size
@@ -67,8 +67,7 @@ def upper_bound_m4(d: int) -> int:
     return formula_m4(d) + 20 * ((d - 4) // 12)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Lower and constructive upper bounds for one (d, r), with the gap."""
 
     d: int

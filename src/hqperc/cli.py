@@ -14,7 +14,6 @@ nothing else.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bounds
@@ -49,7 +48,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+# json is imported only by the commands that write JSON: start-up stays lean.
+
+
 def _write_json(path: str, payload: dict) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -61,9 +65,10 @@ def _write_trace(path: str, payload: dict) -> None:
     Vertex names are 0/1 strings, so they need no escaping; the whole text
     is never held in memory.
     """
+    percolated = "true" if payload["percolated"] else "false"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f'{{\n  "d": {payload["d"]},\n  "percolated": {json.dumps(payload["percolated"])},'
+            f'{{\n  "d": {payload["d"]},\n  "percolated": {percolated},'
             f'\n  "r": {payload["r"]},\n  "rounds": [\n'
         )
         for t, names in enumerate(payload["rounds"]):
@@ -148,6 +153,8 @@ def _cmd_meta_verify(args) -> int:
 def _cmd_bound(args) -> int:
     report = bounds.bound_report(args.d, args.r)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(f"d: {report.d}, r: {report.r}")
@@ -181,6 +188,8 @@ def _cmd_table(args) -> int:
             }
         )
     if args.format == "json":
+        import json
+
         print(json.dumps({"r": args.r, "rows": rows}, indent=2, sort_keys=True))
     elif args.format == "csv":
         print("d,lower,construction,cap,exact")

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .bootstrap import percolates
 from .hypercube import (
@@ -72,8 +71,7 @@ class ProductPreconditionError(DomainError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A catalog or closed-form seed."""
 
     name: str
@@ -83,8 +81,7 @@ class Leaf:
         return {"kind": "leaf", "name": self.name, "size": self.size}
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """A product-construction node: children[i] seeds the label-(i+1) subcubes."""
 
     k: int

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 D_MAX = 28
 
@@ -226,22 +225,26 @@ def prefix_embed(s: VertexSet, x: int, d: int) -> VertexSet:
     return VertexSet(d, _bits_of(d, ((m << k) | x for m in s)))
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class _AutomorphismFields(NamedTuple):
+    perm: tuple[int, ...]
+    flip: int
+
+
+class Automorphism(_AutomorphismFields):
     """A hypercube symmetry: coordinate permutation followed by coordinate flips.
 
     ``perm[j]`` names the source coordinate (0-based) feeding target
     coordinate j, and ``flip`` is XORed onto the permuted vertex.
     """
 
-    perm: tuple[int, ...]
-    flip: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = len(self.perm)
-        if sorted(self.perm) != list(range(d)):
-            raise DomainError(f"not a permutation of 0..{d - 1}: {self.perm}")
-        check_vertex(self.flip, d)
+    def __new__(cls, perm: tuple[int, ...], flip: int):
+        d = len(perm)
+        if sorted(perm) != list(range(d)):
+            raise DomainError(f"not a permutation of 0..{d - 1}: {perm}")
+        check_vertex(flip, d)
+        return super().__new__(cls, perm, flip)
 
     @property
     def d(self) -> int:

@@ -28,41 +28,39 @@ of listed vertices), ``# k: K`` and ``# r: R`` make files self-checking.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _masks_for, _round_bits
+from .bootstrap import _cube_masks, _round_bits
 from .hypercube import (
     DomainError, FormatError, _bits_of, _iter_bits, check_dimension, check_vertex,
     format_vertex, parse_vertex,
 )
 
-logger = logging.getLogger(__name__)
-
 COMPLETION = 1
 PROMOTION = 2
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """An assignment of labels {0..r} to the vertices of Q_k."""
-
+class _LabelingFields(NamedTuple):
     k: int
     r: int
     labels: tuple[int, ...]
 
-    def __post_init__(self):
-        check_dimension(self.k)
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
-            raise DomainError(f"threshold must be a positive integer, got {self.r!r}")
-        if len(self.labels) != 1 << self.k:
-            raise DomainError(
-                f"expected {1 << self.k} labels for Q_{self.k}, got {len(self.labels)}"
-            )
-        for v, lab in enumerate(self.labels):
-            if type(lab) is not int or not 0 <= lab <= self.r:
-                raise DomainError(f"label {lab!r} at vertex {v} not an integer in 0..{self.r}")
+
+class Labeling(_LabelingFields):
+    """An assignment of labels {0..r} to the vertices of Q_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, r: int, labels: tuple[int, ...]):
+        check_dimension(k)
+        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+            raise DomainError(f"threshold must be a positive integer, got {r!r}")
+        if len(labels) != 1 << k:
+            raise DomainError(f"expected {1 << k} labels for Q_{k}, got {len(labels)}")
+        for v, lab in enumerate(labels):
+            if type(lab) is not int or not 0 <= lab <= r:
+                raise DomainError(f"label {lab!r} at vertex {v} not an integer in 0..{r}")
+        return super().__new__(cls, k, r, labels)
 
     @classmethod
     def constant(cls, k: int, r: int, label: int = 0) -> "Labeling":
@@ -139,13 +137,13 @@ def meta_step(labeling: Labeling) -> Labeling:
     label r, which dominates any promotion outcome.
     """
     k, r = labeling.k, labeling.r
-    return _from_levels(_sweep(_levels(labeling), k, r, *_masks_for(k)), k, r)
+    return _from_levels(_sweep(_levels(labeling), k, r, *_cube_masks(k)), k, r)
 
 
 def meta_fixpoint(labeling: Labeling) -> Labeling:
     """Iterate the synchronous sweep to the first fixed point."""
     k, r = labeling.k, labeling.r
-    masks, full = _masks_for(k)
+    masks, full = _cube_masks(k)
     levels = _levels(labeling)
     while True:
         nxt = _sweep(levels, k, r, masks, full)
@@ -178,7 +176,11 @@ def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> 
         else:
             labels[v] = new
     if skipped:
-        logger.warning("schedule_oracle skipped %d inapplicable entries", skipped)
+        import logging  # at its one use: importing the package does not load logging
+
+        logging.getLogger(__name__).warning(
+            "schedule_oracle skipped %d inapplicable entries", skipped
+        )
     return meta_fixpoint(Labeling(k, r, tuple(labels)))
 
 

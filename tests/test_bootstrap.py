@@ -300,10 +300,81 @@ def test_search_parallel_path_matches_sequential():
     )
 
 
-@pytest.mark.longrun
 def test_no_eight_vertex_seed_percolates_q5():
-    # 668,389 candidate sets of C(32, 8) = 10,518,300, scanned in one process
+    # 668,389 candidate sets of C(32, 8) = 10,518,300, decided in lane batches
     assert search_percolating_set(5, 4, 8, budget=10_518_300, workers=2) is None
+
+
+def test_minimum_percolating_set_of_q5_at_threshold_4_has_14_vertices():
+    # m(Q_5, 4) = 14, one above the closed form: no 13-set percolates
+    # (55,332,732 candidate sets) and the catalog seed, 14 vertices, does
+    assert search_percolating_set(5, 4, 13, budget=comb(32, 13)) is None
+    seed = catalog_seed(5)
+    assert len(seed) == 14 and percolates(seed, 4)
+
+
+@pytest.mark.longrun
+def test_minimum_percolating_set_of_q5_at_threshold_5_has_16_vertices():
+    # m(Q_5, 5) = 16: no 15-set percolates, and the even-weight vertices do
+    assert search_percolating_set(5, 5, 15, budget=comb(32, 15)) is None
+    assert len(even_weight(5)) == 16 and percolates(even_weight(5), 5)
+
+
+def test_lane_patterns_list_the_combinations():
+    memo = {}
+    for q in range(9):
+        for t in range(q + 1):
+            patterns = bootstrap._lane_patterns(q, t, memo)
+            for j in range(q):
+                lanes = [c for c, combo in enumerate(itertools.combinations(range(q), t))
+                         if j in combo]
+                assert patterns[j] == sum(1 << c for c in lanes), (q, t, j)
+
+
+def test_lane_scan_matches_the_per_set_scan(monkeypatch):
+    # arbitrary prefixes and pools, cut into batches of a few lanes or one.  The
+    # kernels also take r = d + 1, where only the whole cube percolates: at r <= d a
+    # vertex whose d neighbours are infected is infected too, so only there does a
+    # percolation test that skips one vertex give a different answer
+    rng = random.Random(53)
+    for lanes in (1, 5, 64, bootstrap._LANES):
+        monkeypatch.setattr(bootstrap, "_LANES", lanes)
+        for _ in range(60):
+            d = rng.randint(1, 5)
+            r = rng.randint(1, d + 1)
+            cube = list(range(1 << d))
+            rng.shuffle(cube)
+            split = rng.randint(0, min(6, len(cube)))
+            prefix, pool = tuple(cube[:split]), sorted(cube[split:][:rng.randint(0, 14)])
+            pick = rng.randint(0, len(pool))
+            assert bootstrap._lane_scan(d, r, prefix, pool, pick) == bootstrap._scan(
+                d, r, prefix, pool, pick), (lanes, d, r, prefix, pool, pick)
+
+
+def test_lane_search_matches_the_scan_and_the_full_search(monkeypatch):
+    rng = random.Random(59)
+    jobs = []
+    while len(jobs) < 40:
+        d = rng.randint(1, 5)
+        size = rng.randint(0, 1 << d)
+        if comb(1 << d, size) <= 20_000:
+            jobs.append((d, rng.randint(1, d), size))
+    for d, r, size in jobs:
+        monkeypatch.setattr(bootstrap, "_LANES", rng.choice((1, 3, 100)))
+        lanes = search_percolating_set(d, r, size)
+        monkeypatch.setattr(bootstrap, "_LANE_D", 0)  # every d takes the per-set scan
+        scanned = search_percolating_set(d, r, size)
+        monkeypatch.undo()
+        assert lanes == scanned == _first_percolating(d, r, size), (d, r, size)
+
+
+def test_whole_cube_masks_are_not_cached():
+    # a search at d = 20 scans the whole cube; its masks (2.5 MiB) must not stay cached
+    bootstrap._masks_for.cache_clear()
+    assert search_percolating_set(20, 4, 1) is None
+    assert bootstrap._masks_for.cache_info().currsize == 0
+    closure(VertexSet.of(20, [0]), 4)  # blocks of 2^16 bits: one cached width
+    assert bootstrap._masks_for.cache_info().currsize == 1
 
 
 def test_trace_json_shape():

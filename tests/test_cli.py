@@ -544,6 +544,18 @@ def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
     assert "HQPERC_THREADS" in err
 
 
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # every command pays for what `import hqperc.cli` loads: dataclasses (with
+    # inspect), logging and json cost about 20 ms there and serve only a few paths
+    listed = "import sys; print(*sorted(sys.modules))"
+    bare = _run_fresh(listed)
+    loaded = _run_fresh("import hqperc.cli; " + listed)
+    assert bare.returncode == loaded.returncode == 0, loaded.stderr
+    added = set(loaded.stdout.split()) - set(bare.stdout.split())
+    assert "hqperc.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging", "json"}, sorted(added)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize("d", [16, pytest.param(18, marks=pytest.mark.longrun)])

@@ -8,8 +8,8 @@ ceiled rational bound.
 
 from __future__ import annotations
 
-from typing import NamedTuple
 from math import comb
+from typing import NamedTuple
 
 from .constructions import THRESHOLDS, construction_size
 from .hypercube import DomainError

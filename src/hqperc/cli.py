@@ -48,11 +48,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-# json is imported only by the commands that write JSON: start-up stays lean.
-
-
 def _write_json(path: str, payload: dict) -> None:
-    import json
+    import json  # here and in the other JSON writers, so that start-up skips it
 
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -28,18 +28,17 @@ two must agree on every input.
 from __future__ import annotations
 
 import functools
-import os
 from itertools import chain, combinations, compress, islice
 from math import comb
 from typing import Iterator
 
 from .hypercube import (
-    D_MAX,
     DomainError,
     VertexSet,
     _bits_of,
     _iter_bits,
     check_dimension,
+    check_threshold,
     neighbors,
     weight,
 )
@@ -65,19 +64,14 @@ class SearchAborted(RuntimeError):
 
 
 def _check_threshold(r: int, d: int) -> int:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"threshold must be a positive integer, got {r!r}")
+    check_threshold(r)
     if r > d:
         raise DomainError(f"threshold {r} exceeds dimension {d}: no vertex has {r} neighbours")
     return r
 
 
-@functools.lru_cache(maxsize=None)
 def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
-    """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state.
-
-    Cached, so callers pass block widths, d <= _BLOCK_BITS; _cube_masks serves any d.
-    """
+    """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state."""
     n = 1 << d
     masks = []
     for i in range(d):
@@ -89,14 +83,6 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
             width *= 2
         masks.append(m)
     return tuple(masks), (1 << n) - 1
-
-
-def _cube_masks(d: int) -> tuple[tuple[int, ...], int]:
-    """_masks_for(d) at any d <= D_MAX; above the block width they are built per call.
-
-    Whole-cube masks take d * 2^d / 8 bytes (896 MiB at d = 28), too much to keep.
-    """
-    return _masks_for(d) if d <= _BLOCK_BITS else _masks_for.__wrapped__(d)
 
 
 _plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
@@ -299,8 +285,8 @@ def reference_closure(a0: VertexSet, r: int) -> VertexSet:
         infected |= added
 
 
-def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """Prefix, pool and set count of the spaces that hold the first percolating size-set.
+def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Prefix and pool of the spaces that hold the first percolating size-set.
 
     Lemma: percolating size-sets are closed under Aut(Q_d).  Let W be the
     lexicographically first, and k the least distance between two members x, y.
@@ -311,19 +297,19 @@ def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int], int
     members of pool k, and the spaces come in k order, which is lexicographic.
     """
     if size == 1:
-        yield (0,), [], 1
+        yield (0,), []
         return
     for k in range(1, d + 1):
         x = (1 << k) - 1
         pool = [v for v in range(x + 1, 1 << d) if weight(v) >= k and weight(v ^ x) >= k]
-        yield (0, x), pool, comb(len(pool), size - 2)
+        yield (0, x), pool
 
 
 def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
           pick: int) -> tuple[int, ...] | None:
     """The first percolating set prefix + C, C running over the pick-subsets of
     pool in lexicographic order, or None."""
-    masks, full = _cube_masks(d)
+    masks, full = _masks_for(d)
     base = _bits_of(d, prefix)
     # _bits_of is linear in 2^d / 8 + pick; a sum or a table of 1 << v would be
     # quadratic in 2^d at the near-full sizes the budget admits
@@ -412,7 +398,6 @@ def search_percolating_set(
     r: int,
     size: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> VertexSet | None:
     """Exhaustively look for a percolating set of exactly the given cardinality.
 
@@ -421,10 +406,9 @@ def search_percolating_set(
     in lexicographic order and hold the first witness.  At d <= _LANE_D, where
     pools hold at most 2^d - 2 members, ``_lane_scan`` decides each space in
     batches of up to _LANES sets; at larger d, with long pools, ``_scan``
-    decides one set at a time, in itertools.combinations order.  ``workers`` is
-    accepted for compatibility and changes nothing.  A search whose subset count
-    C(2^d, size) exceeds the budget refuses to start and raises SearchAborted; pass
-    an explicit budget to opt in to larger scans.
+    decides one set at a time, in itertools.combinations order.  A search whose
+    subset count C(2^d, size) exceeds the budget refuses to start and raises
+    SearchAborted; pass an explicit budget to opt in to larger scans.
     """
     check_dimension(d)
     _check_threshold(r, d)
@@ -443,17 +427,10 @@ def search_percolating_set(
         raise SearchAborted(
             f"search aborted: C({n}, {size}) = {total} subsets exceeds budget {limit}"
         )
-
-    threads = os.environ.get("HQPERC_THREADS")
-    if workers is None and threads:
-        try:
-            int(threads)  # still validated, though the search runs in one process
-        except ValueError:
-            raise DomainError(f"HQPERC_THREADS must be an integer, got {threads!r}")
     if size == 0:
         return None  # the empty seed never percolates for r >= 1, d >= 1
     scan = _lane_scan if d <= _LANE_D else _scan
-    for prefix, pool, _ in _spaces(d, size):
+    for prefix, pool in _spaces(d, size):
         found = scan(d, r, prefix, pool, size - len(prefix))
         if found is not None:
             return VertexSet.of(d, found)

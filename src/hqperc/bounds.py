@@ -12,7 +12,7 @@ from math import comb
 from typing import NamedTuple
 
 from .constructions import THRESHOLDS, construction_size
-from .hypercube import DomainError
+from .hypercube import DomainError, check_threshold
 
 LOWER_BOUND_NOTE = "ceiled rational bound"
 
@@ -23,8 +23,7 @@ def lower_bound(d: int, r: int) -> int:
     Evaluates 2^(r-1) + sum_{j=1}^{r-1} C(d-j-1, r-j) * j * 2^(j-1) / r
     exactly and returns its ceiling.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"threshold must be a positive integer, got {r!r}")
+    check_threshold(r)
     if not isinstance(d, int) or isinstance(d, bool) or d < r:
         raise DomainError(f"need d >= r, got d={d}, r={r}")
     numerator = (1 << (r - 1)) * r

@@ -39,6 +39,7 @@ from .hypercube import (
     DomainError,
     VertexSet,
     _bits_of,
+    check_threshold,
     parse_vertex_set,
 )
 from .meta import Labeling, meta_percolates, parse_labeling
@@ -54,8 +55,7 @@ CATALOG_SEED_SIZES = {
 }
 CATALOG_R3_SIZES = {3: 4, 4: 6, 5: 8, 6: 10, 7: 13, 8: 16}
 CATALOG_SIZES = {3: CATALOG_R3_SIZES, 4: CATALOG_SEED_SIZES}  # r -> d -> size
-CATALOG_LABELINGS = {3: 3, 4: 4, 6: 3, 12: 4}  # k -> threshold r
-CATALOG_HISTOGRAMS = {
+CATALOG_HISTOGRAMS = {  # k -> vertices labelled 1..r in the catalog labeling, r its threshold
     3: (1, 2, 1),
     4: (1, 3, 3, 1),
     6: (5, 4, 1),
@@ -128,9 +128,9 @@ def catalog_seed(d: int) -> VertexSet:
 @functools.lru_cache(maxsize=None)
 def catalog_labeling(k: int) -> Labeling:
     """The shipped meta-percolating labeling on Q_k (k in {3, 4, 6, 12})."""
-    if k not in CATALOG_LABELINGS:
+    if k not in CATALOG_HISTOGRAMS:
         raise DomainError(f"no catalog labeling for dimension {k}")
-    r = CATALOG_LABELINGS[k]
+    r = len(CATALOG_HISTOGRAMS[k])
     lab = parse_labeling(_asset_text(f"meta_l{k}.lab"), k, r)
     if lab.histogram() != CATALOG_HISTOGRAMS[k]:
         raise DomainError(
@@ -165,8 +165,7 @@ def _embed(
 
 
 def _check_build_args(d: int, r: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"threshold must be a positive integer, got {r!r}")
+    check_threshold(r)
     if r not in THRESHOLDS:
         raise DomainError(f"not implemented for r > {THRESHOLDS[-1]} (got r={r})")
     if not isinstance(d, int) or isinstance(d, bool) or d < r:

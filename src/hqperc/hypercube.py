@@ -46,6 +46,13 @@ def check_dimension(d: int) -> int:
     return d
 
 
+def check_threshold(r: int) -> int:
+    """Validate that r is a positive integer and return r."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise DomainError(f"threshold must be a positive integer, got {r!r}")
+    return r
+
+
 def check_vertex(v: int, d: int) -> int:
     """Validate that v indexes a vertex of Q_d and return v."""
     check_dimension(d)

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _cube_masks, _round_bits
+from .bootstrap import _masks_for, _round_bits
 from .hypercube import (
-    DomainError, FormatError, _bits_of, _iter_bits, check_dimension, check_vertex,
-    format_vertex, parse_vertex,
+    DomainError, FormatError, _bits_of, _iter_bits, check_dimension, check_threshold,
+    check_vertex, format_vertex, parse_vertex,
 )
 
 COMPLETION = 1
@@ -53,8 +53,7 @@ class Labeling(_LabelingFields):
 
     def __new__(cls, k: int, r: int, labels: tuple[int, ...]):
         check_dimension(k)
-        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-            raise DomainError(f"threshold must be a positive integer, got {r!r}")
+        check_threshold(r)
         if len(labels) != 1 << k:
             raise DomainError(f"expected {1 << k} labels for Q_{k}, got {len(labels)}")
         for v, lab in enumerate(labels):
@@ -137,13 +136,13 @@ def meta_step(labeling: Labeling) -> Labeling:
     label r, which dominates any promotion outcome.
     """
     k, r = labeling.k, labeling.r
-    return _from_levels(_sweep(_levels(labeling), k, r, *_cube_masks(k)), k, r)
+    return _from_levels(_sweep(_levels(labeling), k, r, *_masks_for(k)), k, r)
 
 
 def meta_fixpoint(labeling: Labeling) -> Labeling:
     """Iterate the synchronous sweep to the first fixed point."""
     k, r = labeling.k, labeling.r
-    masks, full = _cube_masks(k)
+    masks, full = _masks_for(k)
     levels = _levels(labeling)
     while True:
         nxt = _sweep(levels, k, r, masks, full)

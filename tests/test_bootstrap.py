@@ -21,6 +21,7 @@ from hqperc import (
     weight,
 )
 from hqperc.bootstrap import closure_rounds
+from test_constructions import _run_fresh
 
 
 def even_weight(d):
@@ -263,46 +264,33 @@ def test_search_matches_the_full_lexicographic_scan():
              for size in range((1 << d) + 1) if comb(1 << d, size) <= 5_000]
     cases += [(5, r, size) for r in range(1, 6) for size in range(5)]
     for d, r, size in cases:
-        assert search_percolating_set(d, r, size, workers=1) == _first_percolating(d, r, size), (
-            d, r, size)
+        assert search_percolating_set(d, r, size) == _first_percolating(d, r, size), (d, r, size)
 
 
 def test_search_spaces_count_the_candidate_sets():
     # d = 5: the prefix spaces hold 5,620 of C(32, 5) = 201,376 and 55,332,732 of
     # C(32, 13) = 347,373,600 subsets
     for size, total in ((5, 5_620), (13, 55_332_732)):
-        assert sum(count for *_, count in bootstrap._spaces(5, size)) == total
+        assert sum(comb(len(pool), size - len(prefix))
+                   for prefix, pool in bootstrap._spaces(5, size)) == total
 
 
-def test_search_parallel_path_matches_sequential():
-    # the search runs in one process: workers must change nothing
-    sequential = search_percolating_set(3, 2, 2, workers=1)
-    parallel = search_percolating_set(3, 2, 2, workers=2)
-    assert sequential == parallel
-    assert search_percolating_set(3, 3, 3, workers=2) is None
-    witness = search_percolating_set(4, 3, 6, workers=2)
-    assert witness == search_percolating_set(4, 3, 6, workers=1) == VertexSet.of(
-        4, [0, 3, 5, 10, 12, 15]
-    )
-    assert search_percolating_set(4, 3, 5, workers=2) is None
+def test_search_witnesses_are_pinned():
+    assert search_percolating_set(3, 2, 2) is None
+    assert search_percolating_set(3, 3, 3) is None
+    assert search_percolating_set(4, 3, 6) == VertexSet.of(4, [0, 3, 5, 10, 12, 15])
+    assert search_percolating_set(4, 3, 5) is None
     # the witness sits in the k = 2 space, after the 3,003 negative sets of the k = 1 space
-    witness = search_percolating_set(4, 4, 8, workers=2)
-    assert witness == search_percolating_set(4, 4, 8, workers=1) == VertexSet.of(
-        4, [0, 3, 5, 6, 9, 10, 12, 15]
-    )
+    assert search_percolating_set(4, 4, 8) == VertexSet.of(4, [0, 3, 5, 6, 9, 10, 12, 15])
     # 34,735 candidate sets
-    assert search_percolating_set(5, 4, 6, workers=2) is None
-    assert search_percolating_set(5, 4, 6, workers=1) is None
+    assert search_percolating_set(5, 4, 6) is None
     # 521,731 candidate sets under the default budget; the witness is the first of them
-    witness = search_percolating_set(10, 4, 1022, workers=2)
-    assert witness == search_percolating_set(10, 4, 1022, workers=1) == VertexSet.of(
-        10, range(1022)
-    )
+    assert search_percolating_set(10, 4, 1022) == VertexSet.of(10, range(1022))
 
 
 def test_no_eight_vertex_seed_percolates_q5():
     # 668,389 candidate sets of C(32, 8) = 10,518,300, decided in lane batches
-    assert search_percolating_set(5, 4, 8, budget=10_518_300, workers=2) is None
+    assert search_percolating_set(5, 4, 8, budget=10_518_300) is None
 
 
 def test_minimum_percolating_set_of_q5_at_threshold_4_has_14_vertices():
@@ -369,12 +357,23 @@ def test_lane_search_matches_the_scan_and_the_full_search(monkeypatch):
 
 
 def test_whole_cube_masks_are_not_cached():
-    # a search at d = 20 scans the whole cube; its masks (2.5 MiB) must not stay cached
-    bootstrap._masks_for.cache_clear()
-    assert search_percolating_set(20, 4, 1) is None
-    assert bootstrap._masks_for.cache_info().currsize == 0
-    closure(VertexSet.of(20, [0]), 4)  # blocks of 2^16 bits: one cached width
-    assert bootstrap._masks_for.cache_info().currsize == 1
+    # a d = 20 search scans the whole cube (masks of 2.5 MiB) and a d = 20 closure
+    # blocks of 2^16 bits (masks of 136 KiB): neither may stay allocated after the call
+    done = _run_fresh(
+        """
+        import gc
+        import tracemalloc
+        from hqperc import VertexSet, closure, search_percolating_set
+
+        tracemalloc.start()
+        assert search_percolating_set(20, 4, 1) is None
+        closure(VertexSet.of(20, [0]), 4)
+        gc.collect()
+        print(tracemalloc.get_traced_memory()[0])
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 32 * 1024
 
 
 def test_trace_json_shape():

@@ -530,18 +530,12 @@ def test_construct_16_writes_213_data_lines(capsys, tmp_path):
     assert len(data_lines) == 213
 
 
-def test_search_honours_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("HQPERC_THREADS", "2")
+def test_search_ignores_thread_env(capsys, monkeypatch):
+    # the search runs in one process and reads no HQPERC_THREADS, valid or not
+    monkeypatch.setenv("HQPERC_THREADS", "lots")
     code, out, _ = run(capsys, "search", "--d", "2", "--r", "2", "--size", "2")
     assert code == 0
     assert out.splitlines() == ["00", "11"]
-
-
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HQPERC_THREADS", "lots")
-    code, _, err = run(capsys, "search", "--d", "2", "--r", "2", "--size", "2")
-    assert code == 2
-    assert "HQPERC_THREADS" in err
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
@@ -557,15 +551,10 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
-@pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize("d", [16, pytest.param(18, marks=pytest.mark.longrun)])
-def test_near_full_search_stays_small(monkeypatch, d, threads):
+def test_near_full_search_stays_small(d):
     # C(2^d, 2^d - 1) = 2^d sets fit the default budget, and the first of them
     # percolates.  A table of the states 1 << v, v < 2^d, alone takes 256 MiB at d = 16
-    if threads is None:
-        monkeypatch.delenv("HQPERC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HQPERC_THREADS", threads)
     n = 1 << d
     done = _run_fresh(
         f"""

@@ -8,12 +8,16 @@ The production engine is bit parallel.  The state is cut into 2^(d-b)
 blocks of 2^b bits, b = min(d, 16), indexed by the top d - b coordinates.
 In a block the neighbour image along coordinate i swaps two half-lanes;
 along a top coordinate it is the neighbouring block.  Neighbour counts
-accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter.
-A round recomputes only the blocks that are not full and that changed in
-the round before or border one that did, at O(d * 2^b / w) word operations
-each.  ``_rounds`` runs that round to the fixed point for closure, trace and
-step; the meta process calls its kernel, ``_round_bits``, whose counter and
-comparison are ``_at_least``.
+accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter,
+added by a carry-save adder (Harley-Seal; Mula, Kurz & Lemire, Comput. J.
+2018) and compared with r bit-sliced.  Each block that is not full keeps
+its planes from round to round, at most ceil(log2(r+1)) * 2^d bits in all,
+so a round adds only the last round's new infections: the images of a
+block's own delta (O(b * 2^b / w) word operations) and the deltas of its
+neighbour blocks, which cost no shift.  ``_rounds`` runs that round to the
+fixed point for closure, trace and step.  The meta process and the per-set
+search call the dense round ``_round_bits``, which counts from fresh
+planes with the same ``_at_least``.
 
 By Aut(Q_d) symmetry the search scans, in one process, only the sets that
 can be the first witness, in lexicographic order.  On small cubes it
@@ -28,7 +32,7 @@ two must agree on every input.
 from __future__ import annotations
 
 import functools
-from itertools import chain, combinations, compress, islice
+from itertools import combinations, compress, islice
 from math import comb
 from typing import Iterator
 
@@ -54,13 +58,18 @@ _BLOCK_BITS = 16
 # A lane batch decides at most _LANES candidate sets: one bit each in every vertex's int.
 # At d = 5, r = 4, size 13, 2^17 lanes (16 KiB ints) took 2.5 s and 19 MiB, 2^21 3.8 s and 80 MiB.
 _LANES = 1 << 17
+# A search lists the pool of each prefix space as ints, the first (k = 1) holding all
+# 2^d - 2 vertices but 0 and 1, and formats a witness of up to 2^d members:
+# `search --size 2^d` peaked at 150 MiB at d = 20 and 287 MiB at d = 21.  Pools
+# larger than _POOL_CAP vertices are refused, which allows every d <= 20.
+_POOL_CAP = 1 << 20
 # The lane round visits each of the 2^d vertices in Python every sweep, and its
 # pattern memo grows with the pool (at most 2^d - 2 members): lanes up to d = 6.
 _LANE_D = 6
 
 
 class SearchAborted(RuntimeError):
-    """An exhaustive search refused to run past its subset budget."""
+    """An exhaustive search refused to run past its subset budget or pool cap."""
 
 
 def _check_threshold(r: int, d: int) -> int:
@@ -88,29 +97,44 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
 _plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
 
 
-def _at_least(r: int, images, full: int) -> int:
-    """The lanes set in at least r of the images.
+def _add(planes: list[int], images) -> None:
+    """Add the images into the bit planes of a saturating binary counter, in place.
 
-    The images are added into ceil(log2(r + 1)) bit planes of a saturating
-    binary counter, then compared with r bit-sliced.
+    A carry-save adder (Harley-Seal): at each plane, pairs of inputs go
+    through one full adder with the plane, and the carries are the next
+    plane's inputs.  Lanes that carry out of the top plane are clamped to
+    all-ones, which the comparison with r <= 2^len(planes) - 1 reads as >= r.
     """
-    nplanes = _plane_count(r)
-    planes = [0] * nplanes
-    for carry in images:
-        for j in range(nplanes):
-            t = planes[j] & carry
-            planes[j] ^= carry
-            carry = t
-            if not carry:
-                break
-        else:
-            # counter would wrap: clamp the overflowed lanes to all-ones
-            for j in range(nplanes):
-                planes[j] |= carry
-    # bit-sliced comparison: count >= r
+    ins = [x for x in images if x]
+    for j, acc in enumerate(planes):
+        if not ins:
+            return
+        if not acc:
+            acc = ins.pop()
+        carries = []
+        while len(ins) > 1:
+            a = ins.pop()
+            b = ins.pop()
+            u = acc ^ a
+            if c := (acc & a) | (u & b):
+                carries.append(c)
+            acc = u ^ b
+        if ins:
+            if c := acc & ins[0]:
+                carries.append(c)
+            acc ^= ins[0]
+        planes[j] = acc
+        ins = carries
+    if ins:
+        over = functools.reduce(int.__or__, ins)
+        planes[:] = [p | over for p in planes]
+
+
+def _reached(r: int, planes: list[int], full: int) -> int:
+    """The lanes whose count in the planes is at least r: a bit-sliced comparison."""
     ge = 0
     eq = full
-    for j in reversed(range(nplanes)):
+    for j in reversed(range(len(planes))):
         if (r >> j) & 1:
             eq &= planes[j]
         else:
@@ -118,13 +142,21 @@ def _at_least(r: int, images, full: int) -> int:
     return ge | eq
 
 
-def _round_bits(bits: int, d: int, r: int, masks, full: int, extra=()) -> int:
-    """One synchronous update of a raw state integer.
+def _at_least(r: int, images, full: int) -> int:
+    """The lanes set in at least r of the images: the images added into fresh planes."""
+    planes = [0] * _plane_count(r)
+    _add(planes, images)
+    return _reached(r, planes, full)
 
-    extra holds neighbour images beyond the d coordinates, such as neighbouring blocks.
-    """
-    images = (((bits & masks[i]) << (1 << i)) | ((bits >> (1 << i)) & masks[i]) for i in range(d))
-    return bits | _at_least(r, chain(images, extra), full)
+
+def _images(bits: int, masks) -> list[int]:
+    """The neighbour images of a state along each of its coordinates: one half-lane swap each."""
+    return [((bits & m) << (1 << i)) | ((bits >> (1 << i)) & m) for i, m in enumerate(masks)]
+
+
+def _round_bits(bits: int, r: int, masks, full: int) -> int:
+    """One synchronous update of a raw state integer, masks being _masks_for its dimension."""
+    return bits | _at_least(r, _images(bits, masks), full)
 
 
 def _split(bits: int, d: int) -> tuple[list[int], int]:
@@ -146,28 +178,45 @@ def _join(blocks: list[int]) -> int:
 
 
 def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
-    """Yield the blocks after each strictly growing round, up to the fixed point.
+    """Update the blocks in place and yield them after each strictly growing
+    round, up to the fixed point.
 
-    The neighbour image of block B along top coordinate j is block B ^ (1 << j)
-    itself.  A block can change only if it or one of those neighbour blocks
-    changed in the round before, so each round recomputes just that
-    neighbourhood of the last round's changes (every block in round 1), and
-    skips full blocks.
+    Each block that is not full keeps its vertices' infected-neighbour counts
+    in counter planes from one round to the next.  A round first adds the
+    last round's new infections to the counts: the images of a block's own
+    delta, and the deltas of its neighbour blocks (block B's image along top
+    coordinate j is block B ^ (1 << j) itself).  Then it drops those deltas,
+    so that only one round's are ever held, and infects the lanes that reach
+    r.  Round 1 counts from zero, every block's delta being the block itself.
+    Only the neighbourhood of the deltas is visited, a block dirty only
+    through a neighbour shifts nothing, and a full block drops its planes and
+    shares one int with every other full block.
     """
     masks, full = _masks_for(b)
     flips = [1 << j for j in range(len(blocks).bit_length() - 1)]
-    dirty = range(len(blocks))
+    nplanes = _plane_count(r)
+    counts = {}
+    deltas = {i: x for i, x in enumerate(blocks) if x}
     while True:
-        new = blocks.copy()
+        dirty = [i for i in {i ^ f for i in deltas for f in (0, *flips)} if blocks[i] != full]
         for i in dirty:
-            if blocks[i] != full:
-                new[i] = _round_bits(blocks[i], b, r, masks, full, [blocks[i ^ f] for f in flips])
-        changed = [i for i in dirty if new[i] != blocks[i]]
-        if not changed:
+            images = [deltas[i ^ f] for f in flips if i ^ f in deltas]
+            if i in deltas:
+                images += _images(deltas[i], masks)
+            _add(counts.setdefault(i, [0] * nplanes), images)
+        deltas = {}
+        for i in dirty:
+            x = blocks[i]
+            y = x | _reached(r, counts[i], full)
+            if y != x:
+                deltas[i] = y ^ x
+                if y == full:
+                    y = full  # the one shared int
+                    del counts[i]
+                blocks[i] = y
+        if not deltas:
             return
-        yield new
-        blocks = new
-        dirty = {i ^ f for i in changed for f in (0, *flips)}
+        yield blocks
 
 
 def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
@@ -295,10 +344,17 @@ def _spaces(d: int, size: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     W[1] <= 2^k - 1; as wt(W[1]) >= k, W[1] = 2^k - 1.  Every later member v has
     wt(v) >= k and wt(v ^ (2^k - 1)) >= k: W is (0, 2^k - 1) plus size - 2
     members of pool k, and the spaces come in k order, which is lexicographic.
+    Every pool is a subset of the first, so a first pool above _POOL_CAP
+    vertices raises SearchAborted before any is listed.
     """
     if size == 1:
         yield (0,), []
         return
+    if (1 << d) - 2 > _POOL_CAP:
+        raise SearchAborted(
+            f"search aborted: the first prefix space of Q_{d} pools {(1 << d) - 2} vertices,"
+            f" over the cap of {_POOL_CAP}"
+        )
     for k in range(1, d + 1):
         x = (1 << k) - 1
         pool = [v for v in range(x + 1, 1 << d) if weight(v) >= k and weight(v ^ x) >= k]
@@ -315,7 +371,7 @@ def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
     # quadratic in 2^d at the near-full sizes the budget admits
     for combo in combinations(pool, pick):
         bits = base | _bits_of(d, combo)
-        while (new := _round_bits(bits, d, r, masks, full)) != bits:
+        while (new := _round_bits(bits, r, masks, full)) != bits:
             bits = new
         if bits == full:
             return (*prefix, *combo)
@@ -408,7 +464,8 @@ def search_percolating_set(
     batches of up to _LANES sets; at larger d, with long pools, ``_scan``
     decides one set at a time, in itertools.combinations order.  A search whose
     subset count C(2^d, size) exceeds the budget refuses to start and raises
-    SearchAborted; pass an explicit budget to opt in to larger scans.
+    SearchAborted; pass an explicit budget to opt in to larger scans.  So does a
+    search at d > 20 of two or more vertices, whose pools pass _POOL_CAP.
     """
     check_dimension(d)
     _check_threshold(r, d)

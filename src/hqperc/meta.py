@@ -120,13 +120,13 @@ def _from_levels(levels: list[int], k: int, r: int) -> Labeling:
     return Labeling(k, r, tuple(labels))
 
 
-def _sweep(levels: list[int], k: int, r: int, masks, full: int) -> list[int]:
+def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
     """One synchronous sweep of both rules on the level sets."""
     top = levels[-1]
     completed = 0
     for c, h in enumerate([full, *levels[:-1]]):
-        completed |= h & _round_bits(top, k, r - c, masks, full)
-    return [_round_bits(h, k, r, masks, full) | completed for h in levels]
+        completed |= h & _round_bits(top, r - c, masks, full)
+    return [_round_bits(h, r, masks, full) | completed for h in levels]
 
 
 def meta_step(labeling: Labeling) -> Labeling:
@@ -136,7 +136,7 @@ def meta_step(labeling: Labeling) -> Labeling:
     label r, which dominates any promotion outcome.
     """
     k, r = labeling.k, labeling.r
-    return _from_levels(_sweep(_levels(labeling), k, r, *_masks_for(k)), k, r)
+    return _from_levels(_sweep(_levels(labeling), r, *_masks_for(k)), k, r)
 
 
 def meta_fixpoint(labeling: Labeling) -> Labeling:
@@ -145,7 +145,7 @@ def meta_fixpoint(labeling: Labeling) -> Labeling:
     masks, full = _masks_for(k)
     levels = _levels(labeling)
     while True:
-        nxt = _sweep(levels, k, r, masks, full)
+        nxt = _sweep(levels, r, masks, full)
         if nxt == levels:
             return _from_levels(levels, k, r)
         levels = nxt

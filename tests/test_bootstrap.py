@@ -6,11 +6,14 @@ import pytest
 
 import hqperc.bootstrap as bootstrap
 from hqperc import (
+    Automorphism,
     DomainError,
     SearchAborted,
     VertexSet,
+    apply_automorphism,
     catalog_seed,
     closure,
+    construct,
     layer,
     percolates,
     reference_closure,
@@ -97,29 +100,57 @@ def test_closure_rounds_matches_trace():
         assert rounds == len(history.rounds) - 1
 
 
+def _dense_rounds(bits, d, r):
+    # the oracle: _round_bits on the whole 2^d-bit state, counting from fresh planes each round
+    masks, full = bootstrap._masks_for(d)
+    states = []
+    while (new := bootstrap._round_bits(bits, r, masks, full)) != bits:
+        states.append(bits := new)
+    return states
+
+
+def _block_rounds(bits, d, r, b):
+    low = (1 << (1 << b)) - 1
+    blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
+    return [sum(x << (i << b) for i, x in enumerate(state))
+            for state in bootstrap._rounds(blocks, b, r)]
+
+
+def _relabeled(seed, rng):
+    return apply_automorphism(Automorphism.random(rng, seed.d), seed).bits
+
+
 def test_block_round_matches_the_single_block_round():
-    # cut into 2^(d-b) blocks, the round must yield the one-block round's states
+    # cut into 2^(d-b) blocks that carry their counts from round to round, the round
+    # must yield every state of the dense single-block round that counts from zero
     rng = random.Random(43)
     for d in range(1, 11):
         n = 1 << d
-        # empty, full, a closed Q_(d-1) (it percolates only at r = 1), sparse random seeds, and
-        # the r = 4 catalog seed with and without its top member (long runs, full and partial)
+        # empty, full, a closed Q_(d-1) (it percolates only at r = 1), sparse random seeds,
+        # the r = 4 catalog seed with and without its top member (long runs, full and
+        # partial), and the seed relabeled, so that blocks turn dirty through a neighbour alone
         seeds = [0, (1 << n) - 1, (1 << (n // 2)) - 1]
         seeds += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]
         if d >= 4:
             bits = catalog_seed(d).bits
             seeds += [bits, bits ^ 1 << (bits.bit_length() - 1)]
+            seeds += [_relabeled(catalog_seed(d), rng) for _ in range(2)]
         for bits in seeds:
             for r in range(1, min(5, d) + 1):
-                expected = [state for (state,) in bootstrap._rounds([bits], d, r)]
+                expected = _dense_rounds(bits, d, r)
                 for b in {1, 2, d - 1, d} & set(range(1, d + 1)):
-                    low = (1 << (1 << b)) - 1
-                    blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
-                    got = [
-                        sum(x << (i << b) for i, x in enumerate(state))
-                        for state in bootstrap._rounds(blocks, b, r)
-                    ]
-                    assert got == expected, (d, r, b, bits)
+                    assert _block_rounds(bits, d, r, b) == expected, (d, r, b, bits)
+
+
+@pytest.mark.longrun
+def test_block_round_matches_the_dense_round_at_18():
+    # the relabeled r = 4 construction of Q_18 (66 rounds) in production blocks of 2^16
+    # bits and in 512 blocks of 2^9; at r = 5 it stops short of the full cube
+    bits = _relabeled(construct(18, 4)[0], random.Random(47))
+    for r in (4, 5):
+        expected = _dense_rounds(bits, 18, r)
+        for b in (9, 16):
+            assert _block_rounds(bits, 18, r, b) == expected, (r, b)
 
 
 def test_step_is_one_round_of_trace():
@@ -206,6 +237,32 @@ def test_infected_neighbour_counting_against_popcount_oracle():
         assert step(a, r) == VertexSet.of(d, expected)
 
 
+def test_counter_against_a_popcount_oracle():
+    # every lane of the saturating counter holds min(count, 2^planes - 1), whether the
+    # images come in one add or in chunks across several, and the verdict is count >= r.
+    # Up to 2 * 2^planes images of mixed density make lanes carry out of the top plane
+    rng = random.Random(67)
+    lanes = 48
+    full = (1 << lanes) - 1
+    for r in range(1, 10):
+        nplanes = bootstrap._plane_count(r)
+        top = (1 << nplanes) - 1
+        for n in range(2 * (top + 1) + 1):
+            images = [rng.choice((0, full, rng.getrandbits(lanes),
+                                  rng.getrandbits(lanes) & rng.getrandbits(lanes)))
+                      for _ in range(n)]
+            counts = [sum(x >> c & 1 for x in images) for c in range(lanes)]
+            want = sum(1 << c for c in range(lanes) if counts[c] >= r)
+            assert bootstrap._at_least(r, images, full) == want, (r, n)
+            cuts = sorted(rng.choices(range(n + 1), k=rng.randint(1, 4)))
+            planes = [0] * nplanes
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                bootstrap._add(planes, images[lo:hi])
+            held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
+            assert held == [min(count, top) for count in counts], (r, n, cuts)
+            assert bootstrap._reached(r, planes, full) == want, (r, n, cuts)
+
+
 def test_search_no_triple_percolates_q3():
     assert search_percolating_set(3, 3, 3) is None
 
@@ -234,6 +291,17 @@ def test_search_budget_aborts_loudly():
     assert "budget" in str(err.value)
     with pytest.raises(SearchAborted):
         search_percolating_set(5, 4, 13)  # C(32,13) blows the default budget
+
+
+def test_search_pools_past_the_cap_abort(monkeypatch):
+    # every pool is a subset of the first, which holds the 2^d - 2 vertices but 0 and 1
+    monkeypatch.setattr(bootstrap, "_POOL_CAP", 14)
+    assert search_percolating_set(4, 4, 8) == VertexSet.of(4, [0, 3, 5, 6, 9, 10, 12, 15])
+    assert search_percolating_set(5, 1, 1) == VertexSet.of(5, [0])  # size 1 lists no pool
+    with pytest.raises(SearchAborted) as err:
+        search_percolating_set(5, 4, 5)
+    assert str(err.value) == (
+        "search aborted: the first prefix space of Q_5 pools 30 vertices, over the cap of 14")
 
 
 def test_search_size_validation():

@@ -505,6 +505,28 @@ def test_search_output_is_pinned(capsys, d, r, size, code, stdout, stderr):
         code, stdout, stderr)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="limits RLIMIT_AS")
+@pytest.mark.parametrize("d", [21, 28])
+def test_search_past_the_pool_cap_exits_3(d):
+    # C(2^d, 2^d) = 1 set fits the budget, but the pools would list 2^d - 2 vertices and
+    # the witness 2^d members: 287 MiB at d = 21, tens of GiB at d = 28.  Under a 1 GiB
+    # address-space limit a regression fails here instead of exhausting the machine
+    done = _run_fresh(
+        f"""
+        import resource
+        import sys
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from hqperc.cli import main
+
+        sys.exit(main(["search", "--d", "{d}", "--r", "4", "--size", "{1 << d}"]))
+        """
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", (
+        f"search aborted: the first prefix space of Q_{d} pools {(1 << d) - 2} vertices,"
+        " over the cap of 1048576\n"))
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "verify", "--set", str(tmp_path / "missing.set"), "--d", "3", "--r", "2"

@@ -18,12 +18,11 @@ route function: threshold 3 steps down by 3 (odd d) or 6 (even d), threshold
 4 by 4 or 12 according to d mod 6, with a dedicated route at d = 17.  It
 sizes every node from the catalog tables, so recipes and construction_size
 read no asset; _members builds the members by walking the recipe, each
-distinct node once.  One embedding takes the selector position as a
-parameter: the recursive assembler puts the selector on the top k
-coordinates, so the threshold-2 family lands inside the threshold-3 family
-member for member and members come out ascending; product_construction puts
-it on the first k, matching its documented contract.  Every node's size is
-asserted against the realized cardinality (embedded blocks never overlap).
+distinct node once.  The assembler and product_construction share one
+embedding, with the selector on the top k coordinates: the threshold-2
+family lands inside the threshold-3 family member for member, and members
+come out ascending.  Every node's size is asserted against the realized
+cardinality (embedded blocks never overlap).
 """
 
 from __future__ import annotations
@@ -148,19 +147,16 @@ def _pair_members(d: int) -> tuple[int, ...]:
     return (0, *(3 << i for i in shifts))
 
 
-def _embed(
-    labeling: Labeling, blocks: Sequence[Sequence[int]], x_shift: int, m_shift: int
-) -> Iterator[int]:
-    """Copy blocks[i - 1] into the subcube of every selector vertex x labelled i.
+def _embed(labeling: Labeling, blocks: Sequence[Sequence[int]], m: int) -> Iterator[int]:
+    """Copy blocks[i - 1] (members of Q_m) into the subcube of every selector x labelled i.
 
-    The selector occupies the k coordinates from bit x_shift and the block
-    member those from bit m_shift: (d - k, 0) puts the selector on the top k
-    coordinates, (0, k) on the first k.
+    The selector occupies the top k coordinates, so ascending blocks give
+    ascending members.
     """
     return (
-        (x << x_shift) | (m << m_shift)
+        (x << m) | v
         for x, label in enumerate(labeling.labels) if label
-        for m in blocks[label - 1]
+        for v in blocks[label - 1]
     )
 
 
@@ -229,7 +225,7 @@ def _build(d: int, r: int, take) -> tuple[int, ...]:
     if isinstance(recipe, Product):
         k = recipe.k
         blocks = [take(d - k, i) for i in range(1, r + 1)]
-        members = tuple(_embed(catalog_labeling(k), blocks, d - k, 0))
+        members = tuple(_embed(catalog_labeling(k), blocks, d - k))
     elif r <= 2:
         members = (0,) if r == 1 else _pair_members(d)
     else:
@@ -256,23 +252,15 @@ def construction_size(d: int, r: int) -> int:
     return construct_recipe(d, r).size
 
 
-def construct(d: int, r: int, verify: bool = False) -> tuple[VertexSet, Recipe]:
-    """A percolating seed for the r-neighbour process on Q_d, with its recipe.
-
-    With verify=True the returned set is additionally run through the
-    closure simulation (possible only for d <= D_MAX, which is all this
-    function can materialize anyway).
-    """
+def construct(d: int, r: int) -> tuple[VertexSet, Recipe]:
+    """A percolating seed for the r-neighbour process on Q_d (d <= D_MAX), with its recipe."""
     _check_build_args(d, r)
     if d > D_MAX:
         raise DomainError(
             f"dimension too large to materialize: {d} > {D_MAX};"
             " use construct_members for the vertex list"
         )
-    s = VertexSet.of(d, _members(d, r))
-    if verify and not percolates(s, r):
-        raise AssertionError(f"assembled seed for d={d}, r={r} failed verification")
-    return s, _recipe(d, r)
+    return VertexSet.of(d, _members(d, r)), _recipe(d, r)
 
 
 def seed_r1(d: int) -> VertexSet:
@@ -290,19 +278,13 @@ def seed_r3(d: int) -> VertexSet:
     return construct(d, 3)[0]
 
 
-def product_construction(
-    labeling: Labeling,
-    parts: Sequence[VertexSet],
-    check: bool = False,
-) -> VertexSet:
+def product_construction(labeling: Labeling, parts: Sequence[VertexSet]) -> VertexSet:
     """Assemble a threshold-r seed in Q_{k + m} from a labeling of Q_k and r sets in Q_m.
 
     Each part S_i is copied into every subcube whose selector vertex (the
-    first k coordinates) holds label i.  Preconditions: (a) every S_i
-    percolates at threshold i, (b) the labeling meta-percolates, and
-    (c) S_1 <= ... <= S_{r-1}.  Condition (c) and all dimension checks are
-    always enforced; (a) and (b) cost closure runs and are only enforced
-    with check=True.
+    top k coordinates) holds label i, exactly as the recursive assembler
+    does.  Preconditions, all enforced: (a) every S_i percolates at
+    threshold i, (b) the labeling meta-percolates, and (c) S_1 <= ... <= S_{r-1}.
     """
     r = labeling.r
     k = labeling.k
@@ -322,13 +304,12 @@ def product_construction(
             raise ProductPreconditionError(
                 "c", f"part {i + 1} is not contained in part {i + 2}"
             )
-    if check:
-        if not meta_percolates(labeling):
-            raise ProductPreconditionError("b", "labeling does not meta-percolate")
-        for i, s in enumerate(parts, start=1):
-            if not percolates(s, i):
-                raise ProductPreconditionError(
-                    "a", f"part {i} does not percolate at threshold {i}"
-                )
+    if not meta_percolates(labeling):
+        raise ProductPreconditionError("b", "labeling does not meta-percolate")
+    for i, s in enumerate(parts, start=1):
+        if not percolates(s, i):
+            raise ProductPreconditionError(
+                "a", f"part {i} does not percolate at threshold {i}"
+            )
     blocks = [tuple(s) for s in parts]
-    return VertexSet(d, _bits_of(d, _embed(labeling, blocks, 0, k)))
+    return VertexSet(d, _bits_of(d, _embed(labeling, blocks, inner)))

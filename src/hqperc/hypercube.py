@@ -399,8 +399,3 @@ def format_vertex_set(s: VertexSet, header: bool = True) -> str:
 def load_vertex_set(path, d: int | None = None) -> VertexSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_vertex_set(fh.read(), d)
-
-
-def save_vertex_set(s: VertexSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_vertex_set(s))

@@ -51,9 +51,10 @@ class Labeling(_LabelingFields):
 
     __slots__ = ()
 
-    def __new__(cls, k: int, r: int, labels: tuple[int, ...]):
+    def __new__(cls, k: int, r: int, labels: Sequence[int]):
         check_dimension(k)
         check_threshold(r)
+        labels = tuple(labels)
         if len(labels) != 1 << k:
             raise DomainError(f"expected {1 << k} labels for Q_{k}, got {len(labels)}")
         for v, lab in enumerate(labels):
@@ -71,7 +72,7 @@ class Labeling(_LabelingFields):
         labels = [0] * (1 << check_dimension(k))
         for v, lab in assignments.items():
             labels[check_vertex(v, k)] = lab
-        return cls(k, r, tuple(labels))
+        return cls(k, r, labels)
 
     def histogram(self) -> tuple[int, ...]:
         """Count of vertices holding each label 1..r."""
@@ -87,6 +88,8 @@ class Labeling(_LabelingFields):
 
 def _rule_result(labels: Sequence[int], k: int, r: int, v: int, rule: int) -> int | None:
     """The new label the rule assigns to v, or None when it does not apply."""
+    if rule not in (COMPLETION, PROMOTION):
+        raise DomainError(f"unknown rule {rule!r}; use COMPLETION (1) or PROMOTION (2)")
     cur = labels[v]
     if cur >= r:
         return None
@@ -95,12 +98,10 @@ def _rule_result(labels: Sequence[int], k: int, r: int, v: int, rule: int) -> in
         if sum(1 for lab in nb if lab == r) >= r - cur:
             return r
         return None
-    if rule == PROMOTION:
-        if sum(1 for lab in nb if lab > cur) >= r:
-            # with r strictly-higher neighbours the r-th highest is itself higher
-            return sorted(nb, reverse=True)[r - 1]
-        return None
-    raise DomainError(f"unknown rule {rule!r}; use COMPLETION (1) or PROMOTION (2)")
+    if sum(1 for lab in nb if lab > cur) >= r:
+        # with r strictly-higher neighbours the r-th highest is itself higher
+        return sorted(nb, reverse=True)[r - 1]
+    return None
 
 
 def _levels(labeling: Labeling) -> list[int]:
@@ -117,7 +118,7 @@ def _from_levels(levels: list[int], k: int, r: int) -> Labeling:
     for h in levels:
         for v in _iter_bits(h):
             labels[v] += 1
-    return Labeling(k, r, tuple(labels))
+    return Labeling(k, r, labels)
 
 
 def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
@@ -159,9 +160,10 @@ def meta_percolates(labeling: Labeling) -> bool:
 def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> Labeling:
     """Apply (vertex, rule) choices one at a time, then finish synchronously.
 
-    Inapplicable entries are skipped (and counted in a warning); by the
-    order-independence of the rules the result always equals
-    meta_fixpoint(labeling), which is what makes this an oracle.
+    An entry naming an unknown vertex or rule raises DomainError, whatever
+    the vertex's label.  Inapplicable entries are skipped (and counted in a
+    warning); by the order-independence of the rules the result always
+    equals meta_fixpoint(labeling), which is what makes this an oracle.
     """
     k, r = labeling.k, labeling.r
     labels = list(labeling.labels)
@@ -180,7 +182,7 @@ def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> 
         logging.getLogger(__name__).warning(
             "schedule_oracle skipped %d inapplicable entries", skipped
         )
-    return meta_fixpoint(Labeling(k, r, tuple(labels)))
+    return meta_fixpoint(Labeling(k, r, labels))
 
 
 _DIRECTIVES = ("# expected-size:", "# k:", "# r:")
@@ -214,10 +216,9 @@ def parse_labeling(text: str, k: int, r: int) -> Labeling:
             v = parse_vertex(parts[0], k)
         except FormatError as exc:
             raise FormatError(str(exc), lineno) from None
-        try:
-            lab = int(parts[1])
-        except ValueError:
+        if not (parts[1].isascii() and parts[1].isdigit()):
             raise FormatError(f"bad label {parts[1]!r}", lineno)
+        lab = int(parts[1])
         if v in seen:
             raise FormatError(f"duplicate vertex {parts[0]}", lineno)
         if not 0 <= lab <= r:
@@ -233,17 +234,17 @@ def parse_labeling(text: str, k: int, r: int) -> Labeling:
         raise FormatError(
             f"expected-size {declared['# expected-size:']} but found {count} entries"
         )
-    return Labeling(k, r, tuple(labels))
+    return Labeling(k, r, labels)
 
 
-def format_labeling(labeling: Labeling, header: bool = True) -> str:
-    """Render a labeling sparsely (nonzero vertices only), ascending by index."""
-    lines = []
-    if header:
-        nonzero = sum(1 for lab in labeling.labels if lab)
-        lines.append(f"# expected-size: {nonzero}")
-        lines.append(f"# k: {labeling.k}")
-        lines.append(f"# r: {labeling.r}")
+def format_labeling(labeling: Labeling) -> str:
+    """Render a labeling sparsely (nonzero vertices only), ascending by index, with directives."""
+    nonzero = sum(1 for lab in labeling.labels if lab)
+    lines = [
+        f"# expected-size: {nonzero}",
+        f"# k: {labeling.k}",
+        f"# r: {labeling.r}",
+    ]
     for v, lab in enumerate(labeling.labels):
         if lab:
             lines.append(f"{format_vertex(v, labeling.k)} {lab}")
@@ -253,8 +254,3 @@ def format_labeling(labeling: Labeling, header: bool = True) -> str:
 def load_labeling(path, k: int, r: int) -> Labeling:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_labeling(fh.read(), k, r)
-
-
-def save_labeling(labeling: Labeling, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_labeling(labeling))

@@ -24,7 +24,6 @@ from hqperc import (
     weight,
 )
 from hqperc.bootstrap import closure_rounds
-from test_constructions import _run_fresh
 
 
 def even_weight(d):
@@ -424,10 +423,10 @@ def test_lane_search_matches_the_scan_and_the_full_search(monkeypatch):
         assert lanes == scanned == _first_percolating(d, r, size), (d, r, size)
 
 
-def test_whole_cube_masks_are_not_cached():
+def test_whole_cube_masks_are_not_cached(run_fresh):
     # a d = 20 search scans the whole cube (masks of 2.5 MiB) and a d = 20 closure
     # blocks of 2^16 bits (masks of 136 KiB): neither may stay allocated after the call
-    done = _run_fresh(
+    done = run_fresh(
         """
         import gc
         import tracemalloc
@@ -449,6 +448,22 @@ def test_trace_json_shape():
     assert payload["d"] == 3 and payload["r"] == 3 and payload["percolated"] is True
     assert payload["rounds"][0] == ["000", "110", "101", "011"]
     assert len(payload["rounds"]) == 2
+
+
+def test_infection_trace_is_an_immutable_record():
+    history, again = trace(even_weight(3), 3), trace(even_weight(3), 3)
+    assert history is not again
+    assert history == again and hash(history) == hash(again)
+    assert history != trace(even_weight(3), 2)
+    assert history != (history.d, history.r, history.rounds, history.percolated)
+    assert repr(history) == (
+        f"InfectionTrace(d=3, r=3, rounds={history.rounds!r}, percolated=True)"
+    )
+    with pytest.raises(AttributeError, match="immutable"):
+        history.r = 4
+    with pytest.raises(AttributeError, match="immutable"):
+        del history.rounds
+    assert history.r == 3 and len(history.rounds) == 2
 
 
 def test_layer_seed_example_closure():

@@ -19,7 +19,6 @@ from hqperc import (
     trace,
 )
 from hqperc.cli import main
-from test_constructions import _run_fresh
 
 
 def run(capsys, *argv):
@@ -110,6 +109,16 @@ def test_construct_verify_and_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--set", str(out_path), "--d", "16", "--r", "4")
     assert code == 0
     assert "cardinality: 213" in out
+
+
+def test_construct_verify_failure_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "percolates", lambda seed, r: False)
+    out_path = tmp_path / "c10.set"
+    code, out, err = run(
+        capsys, "construct", "--d", "10", "--r", "4", "--out", str(out_path), "--verify"
+    )
+    assert (code, out, err) == (1, "", "verification failed\n")
+    assert not out_path.exists()
 
 
 def test_construct_recipe_json(capsys, tmp_path):
@@ -332,13 +341,13 @@ def test_written_trace_is_the_json_dump_of_to_json(capsys, tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
-def test_trace_is_written_without_holding_its_text(tmp_path):
+def test_trace_is_written_without_holding_its_text(tmp_path, run_fresh):
     # the Q_14 catalog seed closes in 229 rounds; its trace JSON is 23.4 MB.  The
     # command's payload adds about 11 MiB to the peak, the joined text would add its size
     seed_path = tmp_path / "seed.set"
     seed_path.write_text(format_vertex_set(catalog_seed(14)))
     trace_path = tmp_path / "trace.json"
-    done = _run_fresh(
+    done = run_fresh(
         f"""
         from hqperc.cli import main
 
@@ -467,6 +476,8 @@ def test_table_text_is_deterministic(capsys):
 def test_table_dmax_cap(capsys):
     code, _, err = run(capsys, "table", "--dmax", "201", "--r", "4")
     assert code == 2
+    assert run(capsys, "table", "--dmax", "3", "--r", "4") == (
+        2, "", "--dmax must be at least 4 for r=4\n")
 
 
 def test_search_witness_exit_0(capsys):
@@ -507,11 +518,11 @@ def test_search_output_is_pinned(capsys, d, r, size, code, stdout, stderr):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="limits RLIMIT_AS")
 @pytest.mark.parametrize("d", [21, 28])
-def test_search_past_the_pool_cap_exits_3(d):
+def test_search_past_the_pool_cap_exits_3(d, run_fresh):
     # C(2^d, 2^d) = 1 set fits the budget, but the pools would list 2^d - 2 vertices and
     # the witness 2^d members: 287 MiB at d = 21, tens of GiB at d = 28.  Under a 1 GiB
     # address-space limit a regression fails here instead of exhausting the machine
-    done = _run_fresh(
+    done = run_fresh(
         f"""
         import resource
         import sys
@@ -560,12 +571,12 @@ def test_search_ignores_thread_env(capsys, monkeypatch):
     assert out.splitlines() == ["00", "11"]
 
 
-def test_cli_import_loads_no_heavy_stdlib_module():
+def test_cli_import_loads_no_heavy_stdlib_module(run_fresh):
     # every command pays for what `import hqperc.cli` loads: dataclasses (with
     # inspect), logging and json cost about 20 ms there and serve only a few paths
     listed = "import sys; print(*sorted(sys.modules))"
-    bare = _run_fresh(listed)
-    loaded = _run_fresh("import hqperc.cli; " + listed)
+    bare = run_fresh(listed)
+    loaded = run_fresh("import hqperc.cli; " + listed)
     assert bare.returncode == loaded.returncode == 0, loaded.stderr
     added = set(loaded.stdout.split()) - set(bare.stdout.split())
     assert "hqperc.cli" in added
@@ -574,11 +585,11 @@ def test_cli_import_loads_no_heavy_stdlib_module():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize("d", [16, pytest.param(18, marks=pytest.mark.longrun)])
-def test_near_full_search_stays_small(d):
+def test_near_full_search_stays_small(d, run_fresh):
     # C(2^d, 2^d - 1) = 2^d sets fit the default budget, and the first of them
     # percolates.  A table of the states 1 << v, v < 2^d, alone takes 256 MiB at d = 16
     n = 1 << d
-    done = _run_fresh(
+    done = run_fresh(
         f"""
         import sys
         from hqperc.cli import main

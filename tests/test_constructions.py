@@ -1,12 +1,8 @@
-import os
-import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
-import hqperc
 from hqperc import (
     DomainError,
     Labeling,
@@ -121,7 +117,7 @@ def test_product_rejects_dead_labeling():
     lonely = Labeling.of(2, 2, {0: 2})
     parts = (seed_r1(2), seed_r2(2))
     with pytest.raises(ProductPreconditionError) as err:
-        product_construction(lonely, parts, check=True)
+        product_construction(lonely, parts)
     assert err.value.condition == "b"
 
 
@@ -136,7 +132,7 @@ def test_product_rejects_non_percolating_part():
     everywhere = Labeling.constant(1, 2, 2)
     parts = (seed_r1(2), seed_r1(2))  # second part cannot percolate at threshold 2
     with pytest.raises(ProductPreconditionError) as err:
-        product_construction(everywhere, parts, check=True)
+        product_construction(everywhere, parts)
     assert err.value.condition == "a"
 
 
@@ -146,6 +142,29 @@ def test_product_rejects_dimension_mismatch():
         product_construction(catalog_labeling(3), parts)
     with pytest.raises(DomainError):
         product_construction(catalog_labeling(3), (seed_r1(6), seed_r2(6)))
+    parts = (seed_r1(17), seed_r2(17), seed_r3(17), construct(17, 4)[0])
+    with pytest.raises(DomainError, match="too large: 29 > 28"):
+        product_construction(catalog_labeling(12), parts)
+    parts = (seed_r1(3), seed_r2(3), seed_r3(3), VertexSet.full(3))
+    with pytest.raises(DomainError, match="parts in Q_3 cannot percolate at threshold 4"):
+        product_construction(catalog_labeling(4), parts)
+
+
+def test_product_construction_rebuilds_every_recipe_node():
+    # the checked lemma and the assembler are one construction: every product node
+    # for r = 3, 4 and d <= 22 comes back member for member from its children, and
+    # product_construction checks its preconditions (a), (b) and (c) by simulation
+    nodes = [
+        (d, r) for r in (3, 4) for d in range(r, 23)
+        if isinstance(construct_recipe(d, r), Product)
+    ]
+    assert len(nodes) == 21
+    for d, r in nodes:
+        recipe = construct_recipe(d, r)
+        m = d - recipe.k
+        parts = [VertexSet.of(m, construct_members(m, i)) for i in range(1, r + 1)]
+        built = product_construction(catalog_labeling(recipe.k), parts)
+        assert built == VertexSet.of(d, construct_members(d, r)), (d, r)
 
 
 def test_construct_small_cases():
@@ -182,8 +201,9 @@ def test_construct_20_realizes_step_by_12_arithmetic():
 
 
 def test_construct_verify_flag():
-    s, _ = construct(10, 4, verify=True)
+    s, _ = construct(10, 4)
     assert len(s) == 61
+    assert percolates(s, 4)
 
 
 def test_recipe_structure_at_16():
@@ -213,18 +233,8 @@ def test_recipe_size_equals_realized_cardinality():
             assert construction_size(d, r) == recipe.size
 
 
-def _run_fresh(code):
-    # a fresh interpreter, since the recipe and catalog caches are process-wide
-    src = str(Path(hqperc.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True
-    )
-
-
-def test_recipes_and_sizes_read_no_asset():
-    done = _run_fresh(
+def test_recipes_and_sizes_read_no_asset(run_fresh):
+    done = run_fresh(
         """
         from hqperc import bound_report, constructions
 
@@ -243,10 +253,10 @@ def test_recipes_and_sizes_read_no_asset():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
-def test_members_keep_no_recipe_node_alive():
+def test_members_keep_no_recipe_node_alive(run_fresh):
     # caching the members of all 110 recipe nodes peaked at 137.6 MiB.  VmHWM, not
     # ru_maxrss: a child spawned by this process inherits its ru_maxrss across exec
-    done = _run_fresh(
+    done = run_fresh(
         """
         from hqperc import construct_members
 

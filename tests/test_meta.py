@@ -214,12 +214,27 @@ def test_synchronous_fixpoint_matches_one_move_at_a_time():
         assert meta_fixpoint(lab).labels == async_fixpoint(lab, rng)
 
 
-def test_schedule_rejects_bad_vertex_or_rule():
+def test_schedule_rejects_bad_vertex_or_rule(caplog):
     lab = Labeling.constant(2, 2, 0)
     with pytest.raises(DomainError):
         schedule_oracle(lab, [(9, COMPLETION)])
     with pytest.raises(DomainError):
         schedule_oracle(lab, [(0, 7)])
+    # on a vertex already at label r too, rather than skipped as inapplicable
+    with pytest.raises(DomainError, match="unknown rule 99"):
+        schedule_oracle(Labeling.constant(2, 2, 2), [(0, 99)])
+    assert not caplog.records
+
+
+def test_labeling_stores_its_labels_as_a_tuple():
+    listed = Labeling(2, 2, [0, 1, 2, 0])
+    assert listed.labels == (0, 1, 2, 0)
+    assert listed == Labeling(2, 2, (0, 1, 2, 0))
+    assert hash(listed) == hash(Labeling(2, 2, (0, 1, 2, 0)))
+    with pytest.raises(TypeError):
+        listed.labels[0] = 9
+    with pytest.raises(AttributeError):
+        listed.labels = (2, 2, 2, 2)
 
 
 def test_labeling_validation():
@@ -270,6 +285,22 @@ def test_labeling_parse_errors():
 
     with pytest.raises(FormatError):
         parse_labeling("# expected-size: 2\n000 1\n", 3, 3)
+
+    with pytest.raises(FormatError, match="line 1: bad k value 'x'"):
+        parse_labeling("# k: x\n000 1\n", 3, 3)
+
+    with pytest.raises(FormatError, match="line 2: expected '<vertex> <label>', got '001 1 2'"):
+        parse_labeling("000 1\n001 1 2\n", 3, 3)
+
+    with pytest.raises(FormatError, match="file declares r=4 but 3 was requested"):
+        parse_labeling("# r: 4\n000 1\n", 3, 3)
+
+
+def test_labeling_labels_are_ascii_decimal():
+    # int() alone would read these as 3 and 10, both valid labels at r = 10
+    for label in ("\u0663", "1_0"):
+        with pytest.raises(FormatError, match=f"line 2: bad label '{label}'"):
+            parse_labeling(f"# k: 3\n000 {label}\n", 3, 10)
 
 
 def test_labeling_parse_defaults_unlisted_to_zero():

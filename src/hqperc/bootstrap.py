@@ -72,13 +72,6 @@ class SearchAborted(RuntimeError):
     """An exhaustive search refused to run past its subset budget or pool cap."""
 
 
-def _check_threshold(r: int, d: int) -> int:
-    check_threshold(r)
-    if r > d:
-        raise DomainError(f"threshold {r} exceeds dimension {d}: no vertex has {r} neighbours")
-    return r
-
-
 def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state."""
     n = 1 << d
@@ -221,7 +214,7 @@ def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
 
 def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
     """The closure plus the number of strictly growing rounds it took."""
-    _check_threshold(r, a0.d)
+    check_threshold(r, a0.d)
     blocks, b = _split(a0.bits, a0.d)
     rounds = 0
     for rounds, blocks in enumerate(_rounds(blocks, b, r), 1):
@@ -241,7 +234,7 @@ def percolates(a0: VertexSet, r: int) -> bool:
 
 def step(a: VertexSet, r: int) -> VertexSet:
     """One synchronous round of the r-neighbour update."""
-    _check_threshold(r, a.d)
+    check_threshold(r, a.d)
     for blocks in _rounds(*_split(a.bits, a.d), r):
         return VertexSet(a.d, _join(blocks))
     return a
@@ -311,7 +304,7 @@ class InfectionTrace:
 
 def trace(a0: VertexSet, r: int) -> InfectionTrace:
     """Run the process round by round, recording every intermediate state."""
-    _check_threshold(r, a0.d)
+    check_threshold(r, a0.d)
     d = a0.d
     rounds = (a0, *(VertexSet(d, _join(blocks)) for blocks in _rounds(*_split(a0.bits, d), r)))
     return InfectionTrace(d, r, rounds, rounds[-1].is_full())
@@ -319,7 +312,7 @@ def trace(a0: VertexSet, r: int) -> InfectionTrace:
 
 def reference_closure(a0: VertexSet, r: int) -> VertexSet:
     """Independent per-vertex rescan engine, for cross-checking the bit-parallel one."""
-    _check_threshold(r, a0.d)
+    check_threshold(r, a0.d)
     d = a0.d
     infected = set(a0)
     while True:
@@ -468,7 +461,7 @@ def search_percolating_set(
     search at d > 20 of two or more vertices, whose pools pass _POOL_CAP.
     """
     check_dimension(d)
-    _check_threshold(r, d)
+    check_threshold(r, d)
     n = 1 << d
     if not isinstance(size, int) or isinstance(size, bool):
         raise DomainError(f"size must be an integer, got {size!r}")

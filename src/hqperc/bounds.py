@@ -23,9 +23,7 @@ def lower_bound(d: int, r: int) -> int:
     Evaluates 2^(r-1) + sum_{j=1}^{r-1} C(d-j-1, r-j) * j * 2^(j-1) / r
     exactly and returns its ceiling.
     """
-    check_threshold(r)
-    if not isinstance(d, int) or isinstance(d, bool) or d < r:
-        raise DomainError(f"need d >= r, got d={d}, r={r}")
+    check_threshold(r, d)
     numerator = (1 << (r - 1)) * r
     for j in range(1, r):
         numerator += comb(d - j - 1, r - j) * j * (1 << (j - 1))
@@ -34,22 +32,19 @@ def lower_bound(d: int, r: int) -> int:
 
 def formula_m2(d: int) -> int:
     """The exact minimum for threshold 2: ceil(d/2) + 1."""
-    if d < 2:
-        raise DomainError(f"threshold 2 needs d >= 2, got {d}")
+    check_threshold(2, d)
     return (d + 1) // 2 + 1
 
 
 def formula_m3(d: int) -> int:
     """The exact minimum for threshold 3: ceil(d(d+3)/6) + 1."""
-    if d < 3:
-        raise DomainError(f"threshold 3 needs d >= 3, got {d}")
+    check_threshold(3, d)
     return -(-(d * (d + 3)) // 6) + 1
 
 
 def formula_m4(d: int) -> int:
     """The threshold-4 closed form ceil(d(d^2+3d+14)/24) + 1."""
-    if d < 4:
-        raise DomainError(f"threshold 4 needs d >= 4, got {d}")
+    check_threshold(4, d)
     return -(-(d * (d * d + 3 * d + 14)) // 24) + 1
 
 
@@ -59,8 +54,7 @@ def upper_bound_m4(d: int) -> int:
     Equals the closed form plus 20 * floor((d-4)/12), except at d = 5 where
     the best known seed has 14 vertices.
     """
-    if d < 4:
-        raise DomainError(f"threshold 4 needs d >= 4, got {d}")
+    check_threshold(4, d)
     if d == 5:
         return 14
     return formula_m4(d) + 20 * ((d - 4) // 12)

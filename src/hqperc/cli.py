@@ -82,9 +82,9 @@ def _close(seed, r: int, trace_path: str | None):
 
 def _cmd_verify(args) -> int:
     seed = load_vertex_set(args.set, args.d)
-    print(f"cardinality: {len(seed)}")
     closed, rounds = _close(seed, args.r, args.trace)
     full = closed.is_full()
+    print(f"cardinality: {len(seed)}")
     print(f"rounds: {rounds}")
     print(f"percolates: {'yes' if full else 'no'}")
     return EXIT_OK if full else EXIT_NEGATIVE

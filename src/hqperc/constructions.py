@@ -164,8 +164,7 @@ def _check_build_args(d: int, r: int) -> None:
     check_threshold(r)
     if r not in THRESHOLDS:
         raise DomainError(f"not implemented for r > {THRESHOLDS[-1]} (got r={r})")
-    if not isinstance(d, int) or isinstance(d, bool) or d < r:
-        raise DomainError(f"threshold {r} needs dimension >= {r}, got {d}")
+    check_threshold(r, d)
     if d > SIZE_CAP:
         raise DomainError(f"dimension too large: {d} > {SIZE_CAP}")
 

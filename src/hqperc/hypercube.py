@@ -9,7 +9,10 @@ values; VertexSet instances are never mutated after construction.
 The text format for vertex sets is line based: each non-comment line is
 exactly d characters from {0,1}, read left to right as (x_1, ..., x_d).
 Lines starting with '#' are comments; the directive ``# expected-size: N``
-makes a file self-checking.  Duplicate vertices are rejected.
+makes a file self-checking.  Duplicate vertices are rejected.  Both text
+formats (this one and the labeling format of ``meta``) read their
+``# <name>: N`` directives through ``_data_lines``: N is ASCII decimal, and
+a repeat that changes the value is an error.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ def check_dimension(d: int) -> int:
     return d
 
 
-def check_threshold(r: int) -> int:
-    """Validate that r is a positive integer and return r."""
+def check_threshold(r: int, d: int | None = None) -> int:
+    """Validate that r is a positive integer and, given d, that d is an integer >= r; return r."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise DomainError(f"threshold must be a positive integer, got {r!r}")
+    if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < r):
+        raise DomainError(f"threshold {r} needs dimension >= {r}, got {d!r}")
     return r
 
 
@@ -123,6 +128,9 @@ class VertexSet:
         object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
+        raise AttributeError("VertexSet is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("VertexSet is immutable")
 
     @classmethod
@@ -218,20 +226,6 @@ def layer(d: int, w: int) -> VertexSet:
     return VertexSet(d, _bits_of(d, (sum(1 << i for i in c) for c in combos)))
 
 
-def prefix_embed(s: VertexSet, x: int, d: int) -> VertexSet:
-    """Copy s from Q_{d-k} into the subcube of Q_d whose first k coordinates equal x.
-
-    The prefix x occupies coordinates 1..k of every output vertex, so a
-    member m of s maps to the index (m << k) | x.
-    """
-    check_dimension(d)
-    k = d - s.d
-    if not 1 <= k < d:
-        raise DomainError(f"cannot embed a Q_{s.d} set into Q_{d}")
-    check_vertex(x, k)
-    return VertexSet(d, _bits_of(d, ((m << k) | x for m in s)))
-
-
 class _AutomorphismFields(NamedTuple):
     perm: tuple[int, ...]
     flip: int
@@ -303,7 +297,35 @@ def apply_automorphism(a: Automorphism, s: VertexSet) -> VertexSet:
     return VertexSet(s.d, _bits_of(s.d, (a.apply(v) for v in s)))
 
 
-_SIZE_DIRECTIVE = "# expected-size:"
+def _directive(line: str, names: tuple[str, ...], declared: dict, lineno: int | None) -> None:
+    """Record a ``# <name>: N`` comment in declared; other comments are ignored.
+
+    N must be ASCII decimal, and a repeat must give the same value.
+    """
+    lowered = line.lower()
+    for name in names:
+        prefix = f"# {name}:"
+        if lowered.startswith(prefix):
+            value = line[len(prefix):].strip()
+            if not (value.isascii() and value.isdigit()):
+                raise FormatError(f"bad {name} value {value!r}", lineno)
+            n = int(value)
+            if declared.setdefault(name, n) != n:
+                raise FormatError(f"conflicting {name} directives", lineno)
+            return
+
+
+def _data_lines(lines, names: tuple[str, ...], declared: dict) -> Iterator[tuple[int, str]]:
+    """The numbered, stripped data lines; blank lines and comments are skipped.
+
+    Each comment goes to _directive, in line order with the data lines.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line[:1] == "#":
+            _directive(line, names, declared, lineno)
+        elif line:
+            yield lineno, line
 
 
 def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
@@ -328,39 +350,25 @@ def _parse_bulk(lines: list[str], d: int | None) -> VertexSet | None:
     ):
         return None
     bits = _bits_of(dim, (int(line[::-1], 2) for line in data))
+    declared: dict[str, int] = {}
     try:
-        sizes = {
-            int(line[len(_SIZE_DIRECTIVE):].strip())
-            for line in lines
-            if line[:1] == "#" and line.lower().startswith(_SIZE_DIRECTIVE)
-        }
-    except ValueError:
+        for line in lines:
+            if line[:1] == "#":
+                _directive(line, ("expected-size",), declared, None)
+    except FormatError:
         return None
-    if bits.bit_count() != len(data) or not sizes <= {len(data)}:
+    if bits.bit_count() != len(data) or declared.get("expected-size", len(data)) != len(data):
         return None
     return VertexSet(dim, bits)
 
 
 def _parse_lines(lines: list[str], d: int | None) -> VertexSet:
-    """The per-line parser over stripped lines; it names the first bad line."""
+    """The per-line parser; it names the first bad line."""
     buf = None
     dim = d
-    expected: int | None = None
+    declared: dict[str, int] = {}
     count = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.lower().startswith(_SIZE_DIRECTIVE):
-                value = line[len(_SIZE_DIRECTIVE):].strip()
-                try:
-                    declared = int(value)
-                except ValueError:
-                    raise FormatError(f"bad expected-size value {value!r}", lineno)
-                if expected is not None and expected != declared:
-                    raise FormatError("conflicting expected-size directives", lineno)
-                expected = declared
-            continue
+    for lineno, line in _data_lines(lines, ("expected-size",), declared):
         if dim is None:
             if len(line) > D_MAX:
                 raise FormatError(f"dimension too large: {len(line)} > {D_MAX}", lineno)
@@ -378,7 +386,8 @@ def _parse_lines(lines: list[str], d: int | None) -> VertexSet:
         count += 1
     if dim is None:
         raise FormatError("no vertices and no dimension given")
-    if expected is not None and expected != count:
+    expected = declared.get("expected-size", count)
+    if expected != count:
         raise FormatError(f"expected-size {expected} but found {count} vertices")
     return VertexSet(dim, int.from_bytes(buf or b"", "little"))
 

@@ -23,7 +23,9 @@ holding it.  _rule_result keeps the per-vertex rules as the reference.
 Labeling text format: lines ``<k-bit string> <label>``; '#' starts a
 comment; unlisted vertices default to label 0; duplicate vertices and
 labels above r are rejected.  The directives ``# expected-size: N`` (number
-of listed vertices), ``# k: K`` and ``# r: R`` make files self-checking.
+of listed vertices), ``# k: K`` and ``# r: R`` make files self-checking;
+they are read as in the vertex-set format (``hypercube._data_lines``): the
+value is ASCII decimal, and a repeat that changes it is an error.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .bootstrap import _masks_for, _round_bits
 from .hypercube import (
-    DomainError, FormatError, _bits_of, _iter_bits, check_dimension, check_threshold,
-    check_vertex, format_vertex, parse_vertex,
+    DomainError, FormatError, _bits_of, _data_lines, _iter_bits, check_dimension,
+    check_threshold, check_vertex, format_vertex, parse_vertex,
 )
 
 COMPLETION = 1
@@ -185,9 +187,6 @@ def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> 
     return meta_fixpoint(Labeling(k, r, labels))
 
 
-_DIRECTIVES = ("# expected-size:", "# k:", "# r:")
-
-
 def parse_labeling(text: str, k: int, r: int) -> Labeling:
     """Parse the labeling text format; raises FormatError with line numbers."""
     check_dimension(k)
@@ -195,20 +194,7 @@ def parse_labeling(text: str, k: int, r: int) -> Labeling:
     seen = set()
     count = 0
     declared: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            lowered = line.lower()
-            for directive in _DIRECTIVES:
-                if lowered.startswith(directive):
-                    value = line[len(directive):].strip()
-                    try:
-                        declared[directive] = int(value)
-                    except ValueError:
-                        raise FormatError(f"bad {directive[2:-1]} value {value!r}", lineno)
-            continue
+    for lineno, line in _data_lines(text.splitlines(), ("expected-size", "k", "r"), declared):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"expected '<vertex> <label>', got {line!r}", lineno)
@@ -226,14 +212,11 @@ def parse_labeling(text: str, k: int, r: int) -> Labeling:
         seen.add(v)
         labels[v] = lab
         count += 1
-    if "# k:" in declared and declared["# k:"] != k:
-        raise FormatError(f"file declares k={declared['# k:']} but {k} was requested")
-    if "# r:" in declared and declared["# r:"] != r:
-        raise FormatError(f"file declares r={declared['# r:']} but {r} was requested")
-    if "# expected-size:" in declared and declared["# expected-size:"] != count:
-        raise FormatError(
-            f"expected-size {declared['# expected-size:']} but found {count} entries"
-        )
+    for name, want in (("k", k), ("r", r)):
+        if declared.get(name, want) != want:
+            raise FormatError(f"file declares {name}={declared[name]} but {want} was requested")
+    if declared.get("expected-size", count) != count:
+        raise FormatError(f"expected-size {declared['expected-size']} but found {count} entries")
     return Labeling(k, r, labels)
 
 

@@ -5,12 +5,16 @@ import pytest
 
 from hqperc import (
     DomainError,
+    VertexSet,
     bound_report,
+    closure,
+    construct,
     construction_size,
     formula_m2,
     formula_m3,
     formula_m4,
     lower_bound,
+    search_percolating_set,
     upper_bound_m4,
 )
 
@@ -73,6 +77,27 @@ def test_upper_bound_m4():
     assert upper_bound_m4(4) == 8
     with pytest.raises(DomainError):
         upper_bound_m4(3)
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (closure, (VertexSet.empty(3), 4), "threshold 4 needs dimension >= 4, got 3"),
+        (search_percolating_set, (3, 4, 1), "threshold 4 needs dimension >= 4, got 3"),
+        (construct, (3, 4), "threshold 4 needs dimension >= 4, got 3"),
+        (lower_bound, (2, 3), "threshold 3 needs dimension >= 3, got 2"),
+        (formula_m2, (1,), "threshold 2 needs dimension >= 2, got 1"),
+        (formula_m2, (2.5,), "threshold 2 needs dimension >= 2, got 2.5"),
+        (formula_m3, (2,), "threshold 3 needs dimension >= 3, got 2"),
+        (formula_m3, (True,), "threshold 3 needs dimension >= 3, got True"),
+        (formula_m4, (3,), "threshold 4 needs dimension >= 4, got 3"),
+        (upper_bound_m4, (3,), "threshold 4 needs dimension >= 4, got 3"),
+    ],
+)
+def test_threshold_above_dimension_has_one_message(func, args, message):
+    with pytest.raises(DomainError) as err:
+        func(*args)
+    assert str(err.value) == message
 
 
 def test_lower_bound_meets_closed_form_on_its_residues():

@@ -15,7 +15,6 @@ from hqperc import (
     format_labeling,
     format_vertex,
     format_vertex_set,
-    prefix_embed,
     trace,
 )
 from hqperc.cli import main
@@ -60,9 +59,10 @@ def test_verify_parse_error_names_line(capsys, tmp_path):
 def test_verify_threshold_above_dimension(capsys, tmp_path):
     path = tmp_path / "t.set"
     path.write_text("000\n")
-    code, _, err = run(capsys, "verify", "--set", str(path), "--d", "3", "--r", "4")
+    code, out, err = run(capsys, "verify", "--set", str(path), "--d", "3", "--r", "4")
     assert code == 2
-    assert "threshold" in err
+    assert out == ""  # rejected before any report line
+    assert err == "error: threshold 4 needs dimension >= 4, got 3\n"
 
 
 def test_verify_trace_export(capsys, tmp_path):
@@ -255,7 +255,7 @@ def _pairs_18():
 def _q15_across_blocks():
     # the Q_15 catalog seed on a subcube that crosses all four 2^16-bit blocks of Q_18
     perm = tuple((j + 9) % 18 for j in range(18))
-    seed = prefix_embed(catalog_seed(15), 0, 18)
+    seed = VertexSet.of(18, (m << 3 for m in catalog_seed(15)))
     return apply_automorphism(Automorphism(perm, 0b101 << 15), seed)
 
 

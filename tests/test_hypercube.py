@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -15,7 +14,6 @@ from hqperc import (
     neighbors,
     parse_vertex,
     parse_vertex_set,
-    prefix_embed,
     weight,
 )
 from hqperc.hypercube import D_MAX, check_dimension
@@ -73,41 +71,6 @@ def test_layer_out_of_range():
         layer(3, 4)
     with pytest.raises(DomainError):
         layer(3, -1)
-
-
-def test_prefix_embed_example():
-    s = VertexSet.of(3, [parse_vertex("111"), parse_vertex("010")])
-    out = prefix_embed(s, parse_vertex("10"), 5)
-    assert out == VertexSet.of(5, [parse_vertex("10111"), parse_vertex("10010")])
-
-
-def test_prefix_embed_empty():
-    assert prefix_embed(VertexSet.empty(3), 0, 5) == VertexSet.empty(5)
-
-
-def test_prefix_embed_zero_prefix_preserves_cardinality_and_weights():
-    # enumeration oracle: every one of the 2^8 subsets of Q_3
-    for mask in range(256):
-        s = VertexSet(3, mask)
-        out = prefix_embed(s, 0, 5)
-        assert len(out) == len(s)
-        assert sorted(weight(v) for v in out) == sorted(weight(v) for v in s)
-
-
-def test_prefix_embed_distinct_prefixes_are_disjoint():
-    for d in range(2, 7):
-        for k in range(1, d):
-            inner = VertexSet.full(d - k)
-            blocks = [prefix_embed(inner, x, d) for x in range(1 << k)]
-            for a, b in itertools.combinations(blocks, 2):
-                assert not (a & b)
-
-
-def test_prefix_embed_dimension_mismatch():
-    with pytest.raises(DomainError):
-        prefix_embed(VertexSet.empty(5), 0, 5)
-    with pytest.raises(DomainError):
-        prefix_embed(VertexSet.empty(3), 4, 5)  # prefix outside Q_2
 
 
 def test_apply_automorphism_identity():
@@ -215,6 +178,11 @@ def test_vertex_set_is_immutable():
     s = VertexSet.of(2, [1])
     with pytest.raises(AttributeError):
         s.bits = 0
+    with pytest.raises(AttributeError):
+        del s.bits
+    with pytest.raises(AttributeError):
+        del s.d
+    assert s == VertexSet.of(2, [1])
 
 
 def test_parse_vertex_set_round_trip():
@@ -278,10 +246,9 @@ def _reference_parse(text, d=None):
         if line.startswith("#"):
             if line.lower().startswith("# expected-size:"):
                 value = line[len("# expected-size:"):].strip()
-                try:
-                    declared = int(value)
-                except ValueError:
+                if not (value.isascii() and value.isdigit()):
                     raise FormatError(f"bad expected-size value {value!r}", lineno)
+                declared = int(value)
                 if expected is not None and expected != declared:
                     raise FormatError("conflicting expected-size directives", lineno)
                 expected = declared
@@ -325,6 +292,11 @@ def _outcome(parse, text, d):
         ("# expected-size: 2\n101\n# expected-size: 3\n011\n", None),
         ("# expected-size: 2\n101\n# expected-size: 002\n011\n", None),
         ("# expected-size: two\n101\n", None),
+        # values that int() alone reads as the true count: 10, 1 and 2
+        ("# expected-size: 1_0\n" + "".join(format_vertex(v, 4) + "\n" for v in range(10)), None),
+        ("# expected-size: \u0661\n101\n", None),
+        ("# expected-size: +2\n101\n011\n", None),
+        ("# expected-size: +2\n101\n0x1\n", None),  # a bad data line too: the per-line path
         ("# expected-size: 3\n101\n011\n", None),
         ("11100000\n00010000\n# note\n\n00010000\n11100000\n", None),  # duplicate at a byte boundary
         ("1" * (D_MAX + 1) + "\n", None),  # longer than D_MAX, no d given

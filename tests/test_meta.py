@@ -11,6 +11,7 @@ from hqperc import (
     VertexSet,
     catalog_labeling,
     format_labeling,
+    format_vertex,
     meta_fixpoint,
     meta_percolates,
     meta_step,
@@ -301,6 +302,26 @@ def test_labeling_labels_are_ascii_decimal():
     for label in ("\u0663", "1_0"):
         with pytest.raises(FormatError, match=f"line 2: bad label '{label}'"):
             parse_labeling(f"# k: 3\n000 {label}\n", 3, 10)
+
+
+@pytest.mark.parametrize("name", ["expected-size", "k", "r"])
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "+2"])
+def test_labeling_directives_are_ascii_decimal(name, value):
+    # int() alone reads each value as n, which the file below matches for every name
+    n = int(value)
+    entries = "".join(f"{format_vertex(v, n)} 1\n" for v in range(n))
+    with pytest.raises(FormatError) as err:
+        parse_labeling(f"# {name}: {value}\n" + entries, n, n)
+    assert str(err.value) == f"line 1: bad {name} value {value!r}"
+    assert parse_labeling(f"# {name}: {n}\n" + entries, n, n).histogram()[0] == n
+
+
+def test_labeling_directive_repeats():
+    with pytest.raises(FormatError) as err:
+        parse_labeling("# r: 3\n# r: 4\n000 1\n", 3, 3)
+    assert str(err.value) == "line 2: conflicting r directives"
+    lab = parse_labeling("# r: 3\n000 1\n# r: 03\n", 3, 3)
+    assert lab.labels[0] == 1
 
 
 def test_labeling_parse_defaults_unlisted_to_zero():

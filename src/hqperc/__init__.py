@@ -7,126 +7,15 @@ integer bound evaluators.  The ``hqperc`` command line exposes the same
 functionality; see the README for the file formats.
 """
 
-from .bootstrap import (
-    DEFAULT_SEARCH_BUDGET,
-    InfectionTrace,
-    SearchAborted,
-    closure,
-    percolates,
-    reference_closure,
-    search_percolating_set,
-    step,
-    trace,
-)
-from .bounds import (
-    BoundReport,
-    bound_report,
-    formula_m2,
-    formula_m3,
-    formula_m4,
-    lower_bound,
-    upper_bound_m4,
-)
-from .constructions import (
-    Leaf,
-    Product,
-    ProductPreconditionError,
-    Recipe,
-    catalog_labeling,
-    catalog_seed,
-    construct,
-    construct_members,
-    construct_recipe,
-    construction_size,
-    product_construction,
-    seed_r1,
-    seed_r2,
-    seed_r3,
-)
-from .hypercube import (
-    D_MAX,
-    Automorphism,
-    DomainError,
-    FormatError,
-    VertexSet,
-    apply_automorphism,
-    format_vertex,
-    format_vertex_set,
-    layer,
-    load_vertex_set,
-    neighbors,
-    parse_vertex,
-    parse_vertex_set,
-    weight,
-)
-from .meta import (
-    COMPLETION,
-    PROMOTION,
-    Labeling,
-    format_labeling,
-    load_labeling,
-    meta_fixpoint,
-    meta_percolates,
-    meta_step,
-    parse_labeling,
-    schedule_oracle,
-)
+from . import bootstrap, bounds, constructions, hypercube, meta
+from .bootstrap import *
+from .bounds import *
+from .constructions import *
+from .hypercube import *
+from .meta import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Automorphism",
-    "BoundReport",
-    "COMPLETION",
-    "D_MAX",
-    "DEFAULT_SEARCH_BUDGET",
-    "DomainError",
-    "FormatError",
-    "InfectionTrace",
-    "Labeling",
-    "Leaf",
-    "PROMOTION",
-    "Product",
-    "ProductPreconditionError",
-    "Recipe",
-    "SearchAborted",
-    "VertexSet",
-    "apply_automorphism",
-    "bound_report",
-    "catalog_labeling",
-    "catalog_seed",
-    "closure",
-    "construct",
-    "construct_members",
-    "construct_recipe",
-    "construction_size",
-    "format_labeling",
-    "format_vertex",
-    "format_vertex_set",
-    "formula_m2",
-    "formula_m3",
-    "formula_m4",
-    "layer",
-    "load_labeling",
-    "load_vertex_set",
-    "lower_bound",
-    "meta_fixpoint",
-    "meta_percolates",
-    "meta_step",
-    "neighbors",
-    "parse_labeling",
-    "parse_vertex",
-    "parse_vertex_set",
-    "percolates",
-    "product_construction",
-    "reference_closure",
-    "schedule_oracle",
-    "search_percolating_set",
-    "seed_r1",
-    "seed_r2",
-    "seed_r3",
-    "step",
-    "trace",
-    "upper_bound_m4",
-    "weight",
-]
+__all__ = (
+    bootstrap.__all__ + bounds.__all__ + constructions.__all__ + hypercube.__all__ + meta.__all__
+)

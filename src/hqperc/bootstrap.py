@@ -31,6 +31,18 @@ two must agree on every input.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_SEARCH_BUDGET",
+    "InfectionTrace",
+    "SearchAborted",
+    "closure",
+    "percolates",
+    "reference_closure",
+    "search_percolating_set",
+    "step",
+    "trace",
+]
+
 import functools
 from itertools import combinations, compress, islice
 from math import comb
@@ -212,13 +224,19 @@ def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
         yield blocks
 
 
-def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
-    """The closure plus the number of strictly growing rounds it took."""
+def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int]:
+    """The closure's blocks, their width b, and the number of strictly growing rounds."""
     check_threshold(r, a0.d)
     blocks, b = _split(a0.bits, a0.d)
     rounds = 0
     for rounds, blocks in enumerate(_rounds(blocks, b, r), 1):
         pass
+    return blocks, b, rounds
+
+
+def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
+    """The closure plus the number of strictly growing rounds it took."""
+    blocks, _, rounds = _closed_blocks(a0, r)
     return VertexSet(a0.d, _join(blocks)), rounds
 
 
@@ -228,8 +246,9 @@ def closure(a0: VertexSet, r: int) -> VertexSet:
 
 
 def percolates(a0: VertexSet, r: int) -> bool:
-    """True iff the closure of a0 is all of Q_d."""
-    return closure(a0, r).is_full()
+    """True iff the closure of a0 is all of Q_d, read from its blocks without joining them."""
+    blocks, b, _ = _closed_blocks(a0, r)
+    return blocks.count((1 << (1 << b)) - 1) == len(blocks)
 
 
 def step(a: VertexSet, r: int) -> VertexSet:

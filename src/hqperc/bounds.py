@@ -8,6 +8,16 @@ ceiled rational bound.
 
 from __future__ import annotations
 
+__all__ = [
+    "BoundReport",
+    "bound_report",
+    "formula_m2",
+    "formula_m3",
+    "formula_m4",
+    "lower_bound",
+    "upper_bound_m4",
+]
+
 from math import comb
 from typing import NamedTuple
 

@@ -21,15 +21,34 @@ read no asset; _members builds the members by walking the recipe, each
 distinct node once.  The assembler and product_construction share one
 embedding, with the selector on the top k coordinates: the threshold-2
 family lands inside the threshold-3 family member for member, and members
-come out ascending.  Every node's size is asserted against the realized
-cardinality (embedded blocks never overlap).
+come out ascending.  Every node's members are asserted strictly ascending
+and as many as its size (embedded blocks never overlap).
 """
 
 from __future__ import annotations
 
+__all__ = [
+    "Leaf",
+    "Product",
+    "ProductPreconditionError",
+    "Recipe",
+    "catalog_labeling",
+    "catalog_seed",
+    "construct",
+    "construct_members",
+    "construct_recipe",
+    "construction_size",
+    "product_construction",
+    "seed_r1",
+    "seed_r2",
+    "seed_r3",
+]
+
 import functools
 from collections import Counter
 from importlib import resources
+from itertools import islice
+from operator import lt
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .bootstrap import percolates
@@ -229,8 +248,9 @@ def _build(d: int, r: int, take) -> tuple[int, ...]:
         members = (0,) if r == 1 else _pair_members(d)
     else:
         members = tuple(_catalog(r, d))
-    if len(members) != recipe.size or len(set(members)) != recipe.size:
-        raise AssertionError(f"block overlap assembling d={d}, r={r}")
+    # strictly ascending members cannot overlap, and format_members relies on the order
+    if len(members) != recipe.size or not all(map(lt, members, islice(members, 1, None))):
+        raise AssertionError(f"members overlap or out of order assembling d={d}, r={r}")
     return members
 
 

@@ -17,6 +17,23 @@ a repeat that changes the value is an error.
 
 from __future__ import annotations
 
+__all__ = [
+    "D_MAX",
+    "Automorphism",
+    "DomainError",
+    "FormatError",
+    "VertexSet",
+    "apply_automorphism",
+    "format_vertex",
+    "format_vertex_set",
+    "layer",
+    "load_vertex_set",
+    "neighbors",
+    "parse_vertex",
+    "parse_vertex_set",
+    "weight",
+]
+
 import itertools
 import re
 from typing import Iterable, Iterator, NamedTuple
@@ -122,6 +139,8 @@ class VertexSet:
 
     def __init__(self, d: int, bits: int = 0):
         check_dimension(d)
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise DomainError(f"bitmask must be an integer, got {bits!r}")
         if bits < 0 or bits.bit_length() > (1 << d):
             raise DomainError(f"bitmask has vertices outside Q_{d}")
         object.__setattr__(self, "d", d)

@@ -30,6 +30,19 @@ value is ASCII decimal, and a repeat that changes it is an error.
 
 from __future__ import annotations
 
+__all__ = [
+    "COMPLETION",
+    "PROMOTION",
+    "Labeling",
+    "format_labeling",
+    "load_labeling",
+    "meta_fixpoint",
+    "meta_percolates",
+    "meta_step",
+    "parse_labeling",
+    "schedule_oracle",
+]
+
 from typing import Iterable, NamedTuple, Sequence
 
 from .bootstrap import _masks_for, _round_bits
@@ -163,27 +176,18 @@ def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> 
     """Apply (vertex, rule) choices one at a time, then finish synchronously.
 
     An entry naming an unknown vertex or rule raises DomainError, whatever
-    the vertex's label.  Inapplicable entries are skipped (and counted in a
-    warning); by the order-independence of the rules the result always
-    equals meta_fixpoint(labeling), which is what makes this an oracle.
+    the vertex's label.  Inapplicable entries are skipped silently; by the
+    order-independence of the rules the result always equals
+    meta_fixpoint(labeling), which is what makes this an oracle.
     """
     k, r = labeling.k, labeling.r
     labels = list(labeling.labels)
-    skipped = 0
     for v, rule in schedule:
         if not 0 <= v < (1 << k):
             raise DomainError(f"vertex {v} out of range for Q_{k}")
         new = _rule_result(labels, k, r, v, rule)
-        if new is None or new <= labels[v]:
-            skipped += 1
-        else:
+        if new is not None:
             labels[v] = new
-    if skipped:
-        import logging  # at its one use: importing the package does not load logging
-
-        logging.getLogger(__name__).warning(
-            "schedule_oracle skipped %d inapplicable entries", skipped
-        )
     return meta_fixpoint(Labeling(k, r, labels))
 
 

@@ -36,6 +36,27 @@ def test_closure_of_empty_is_empty():
             assert closure(VertexSet.empty(d), r) == VertexSet.empty(d)
 
 
+def test_percolates_reads_the_blocks_without_joining(monkeypatch):
+    block = (1 << (1 << 16)) - 1
+    cases = [
+        (construct(18, 4)[0], 4),  # four blocks, all full at the end
+        (construct(18, 3)[0], 4),
+        (VertexSet(18, block), 2),  # block 0 full, the other three empty
+        (VertexSet(18, block), 1),
+        (catalog_seed(10), 4),
+        (catalog_seed(10).discard(next(iter(catalog_seed(10)))), 4),
+        (construct(16, 4)[0], 4),
+    ]
+    expected = [closure(seed, r).is_full() for seed, r in cases]
+    assert True in expected and False in expected
+
+    def refuse(blocks):
+        raise AssertionError("percolates joined the closure")
+
+    monkeypatch.setattr(bootstrap, "_join", refuse)
+    assert [percolates(seed, r) for seed, r in cases] == expected
+
+
 def test_closure_of_full_is_full():
     for d in range(1, 6):
         assert closure(VertexSet.full(d), d) == VertexSet.full(d)

@@ -425,6 +425,11 @@ def test_bound_text_and_json(capsys):
     code, out, _ = run(capsys, "bound", "--d", "10", "--r", "4")
     assert code == 0
     assert "exact: 61" in out
+    code, out, _ = run(capsys, "bound", "--d", "20", "--r", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "d: 20, r: 4", "lower: 396 (ceiled rational bound)", "upper: 399", "gap: 3",
+    ]
     code, out, _ = run(capsys, "bound", "--d", "5", "--r", "4", "--format", "json")
     payload = json.loads(out)
     assert payload["lower"] == 13 and payload["upper"] == 14 and payload["gap"] == 1

@@ -293,6 +293,17 @@ def test_members_build_each_recipe_node_once(monkeypatch):
     assert len(builds) == 1  # a leaf
 
 
+def test_members_out_of_order_are_refused(monkeypatch):
+    from hqperc import constructions
+
+    embed = constructions._embed
+    monkeypatch.setattr(
+        constructions, "_embed", lambda *args: sorted(embed(*args), reverse=True)
+    )
+    with pytest.raises(AssertionError, match="out of order"):
+        construct_members(16, 4)
+
+
 def test_size_laws_to_60():
     for d in range(3, 61):
         assert construction_size(d, 3) == formula_m3(d)

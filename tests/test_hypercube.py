@@ -172,6 +172,12 @@ def test_vertex_set_dimension_checks():
         VertexSet(29)
     with pytest.raises(DomainError):
         VertexSet.of(2, [0]) | VertexSet.of(3, [0])
+    for bits in (True, 1.5):
+        with pytest.raises(DomainError, match="bitmask must be an integer"):
+            VertexSet(3, bits)
+    for bits in (-1, 1 << 8):
+        with pytest.raises(DomainError, match="outside Q_3"):
+            VertexSet(3, bits)
 
 
 def test_vertex_set_is_immutable():

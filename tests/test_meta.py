@@ -227,6 +227,12 @@ def test_schedule_rejects_bad_vertex_or_rule(caplog):
     assert not caplog.records
 
 
+def test_schedule_skips_inapplicable_entries_silently(caplog):
+    lab = Labeling.constant(2, 2, 0)  # no neighbour holds label 2 or a higher label
+    assert schedule_oracle(lab, [(0, COMPLETION), (1, PROMOTION)]) == meta_fixpoint(lab)
+    assert not caplog.records
+
+
 def test_labeling_stores_its_labels_as_a_tuple():
     listed = Labeling(2, 2, [0, 1, 2, 0])
     assert listed.labels == (0, 1, 2, 0)

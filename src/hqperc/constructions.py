@@ -17,12 +17,13 @@ Dimensions above the catalog are assembled recursively.  _recipe is the one
 route function: threshold 3 steps down by 3 (odd d) or 6 (even d), threshold
 4 by 4 or 12 according to d mod 6, with a dedicated route at d = 17.  It
 sizes every node from the catalog tables, so recipes and construction_size
-read no asset; _members builds the members by walking the recipe, each
-distinct node once.  The assembler and product_construction share one
-embedding, with the selector on the top k coordinates: the threshold-2
-family lands inside the threshold-3 family member for member, and members
-come out ascending.  Every node's members are asserted strictly ascending
-and as many as its size (embedded blocks never overlap).
+read no asset; _members builds the members by plain recursion over the
+recipe, and each child's members are freed when its parent returns.  The
+assembler and product_construction share one embedding, with the selector
+on the top k coordinates: the threshold-2 family lands inside the
+threshold-3 family member for member, and members come out ascending.
+Every node's members are asserted strictly ascending and as many as its
+size (embedded blocks never overlap).
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ __all__ = [
 ]
 
 import functools
-from collections import Counter
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -172,10 +172,9 @@ def _embed(labeling: Labeling, blocks: Sequence[Sequence[int]], m: int) -> Itera
     The selector occupies the top k coordinates, so ascending blocks give
     ascending members.
     """
-    return (
-        (x << m) | v
+    return chain.from_iterable(
+        map((x << m).__or__, blocks[label - 1])
         for x, label in enumerate(labeling.labels) if label
-        for v in blocks[label - 1]
     )
 
 
@@ -210,39 +209,11 @@ def _recipe(d: int, r: int) -> Recipe:
 
 
 def _members(d: int, r: int) -> tuple[int, ...]:
-    """Ascending members of the seed that _recipe(d, r) describes.
-
-    Each distinct recipe node is built once.  A built node is kept only
-    until the last of its parents has taken it, so no finished subtree
-    stays in memory.
-    """
-    pending = Counter()  # for each node: its parents, and the caller, yet to take it
-
-    def count(d: int, r: int) -> None:
-        pending[d, r] += 1
-        recipe = _recipe(d, r)
-        if pending[d, r] == 1 and isinstance(recipe, Product):
-            for i in range(1, r + 1):
-                count(d - recipe.k, i)
-
-    count(d, r)
-    built: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def take(d: int, r: int) -> tuple[int, ...]:
-        if (d, r) not in built:
-            built[d, r] = _build(d, r, take)
-        pending[d, r] -= 1
-        return built[d, r] if pending[d, r] else built.pop((d, r))
-
-    return take(d, r)
-
-
-def _build(d: int, r: int, take) -> tuple[int, ...]:
-    """The members of one recipe node, its children fetched through take."""
+    """Ascending members of the seed that _recipe(d, r) describes."""
     recipe = _recipe(d, r)
     if isinstance(recipe, Product):
         k = recipe.k
-        blocks = [take(d - k, i) for i in range(1, r + 1)]
+        blocks = [_members(d - k, i) for i in range(1, r + 1)]
         members = tuple(_embed(catalog_labeling(k), blocks, d - k))
     elif r <= 2:
         members = (0,) if r == 1 else _pair_members(d)

@@ -544,10 +544,18 @@ def test_search_past_the_pool_cap_exits_3(d, run_fresh):
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "verify", "--set", str(tmp_path / "missing.set"), "--d", "3", "--r", "2"
-    )
-    assert code == 2
+    # a missing or non-UTF-8 input file is a usage error (2), never a definite negative (1)
+    bad = tmp_path / "bad.set"
+    bad.write_bytes(b"\xff\xfe0101\n")
+    for path in (tmp_path / "missing.set", bad):
+        for argv in (
+            ("verify", "--set", str(path), "--d", "4", "--r", "2"),
+            ("closure", "--set", str(path), "--d", "4", "--r", "2"),
+            ("meta-verify", "--labeling", str(path), "--k", "4", "--r", "2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: "), argv
 
 
 def test_verify_r3_catalog_member(capsys, tmp_path):

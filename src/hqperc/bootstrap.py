@@ -51,6 +51,7 @@ from typing import Iterator
 from .hypercube import (
     DomainError,
     VertexSet,
+    _NONZERO_BYTES,
     _bits_of,
     _iter_bits,
     check_dimension,
@@ -60,9 +61,6 @@ from .hypercube import (
 )
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-# maps each byte to 1 if it is nonzero, else 0: the selector itertools.compress takes
-_NONZERO_BYTES = bytes([0] + [1] * 255)
 
 # A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
 _BLOCK_BITS = 16

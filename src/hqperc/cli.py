@@ -26,13 +26,14 @@ from .constructions import (
     construct,  # unused here, but perfbench/tracer.py wraps cli.construct
     construct_members,
     construct_recipe,
+    construct_text,
 )
 from .hypercube import (
     D_MAX,
     DomainError,
     FormatError,
     VertexSet,
-    format_members,
+    _texts,
     format_vertex_set,
     load_vertex_set,
 )
@@ -52,22 +53,31 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_trace(path: str, payload: dict) -> None:
-    """Write a trace as _write_json would, one round at a time.
+def _write_trace(path: str, history) -> None:
+    """Write history.to_json() as _write_json would, one round at a time.
 
-    Vertex names are 0/1 strings, so they need no escaping; the whole text
-    is never held in memory.
+    Vertex names are 0/1 strings, so they need no escaping: _texts builds
+    each round's names per state byte, each name ending in the JSON
+    separator.  The chunks are written in joined batches (a write per
+    chunk costs more than the join), the last one without its separator,
+    so no text the size of a round is ever built.
     """
-    percolated = "true" if payload["percolated"] else "false"
+    sep = '",\n      "'
+    percolated = "true" if history.percolated else "false"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f'{{\n  "d": {payload["d"]},\n  "percolated": {percolated},'
-            f'\n  "r": {payload["r"]},\n  "rounds": [\n'
+            f'{{\n  "d": {history.d},\n  "percolated": {percolated},'
+            f'\n  "r": {history.r},\n  "rounds": [\n'
         )
-        for t, names in enumerate(payload["rounds"]):
-            if t:
-                fh.write(",\n")
-            fh.write('    [\n      "' + '",\n      "'.join(names) + '"\n    ]' if names else "    []")
+        for t, chunks in enumerate(_texts(history.rounds, sep)):
+            fh.write(",\n    [" if t else "    [")
+            if chunks:
+                fh.write('\n      "')
+                last = chunks.pop()
+                for i in range(0, len(chunks), 1024):
+                    fh.write("".join(chunks[i:i + 1024]))
+                fh.write(last[:-len(sep)] + '"\n    ')
+            fh.write("]")
         fh.write("\n  ]\n}\n")
 
 
@@ -76,7 +86,7 @@ def _close(seed, r: int, trace_path: str | None):
     if not trace_path:
         return closure_rounds(seed, r)
     history = trace(seed, r)
-    _write_trace(trace_path, history.to_json())
+    _write_trace(trace_path, history)
     return history.rounds[-1], len(history.rounds) - 1
 
 
@@ -91,16 +101,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    members = construct_members(args.d, args.r)
     recipe = construct_recipe(args.d, args.r)
     verified = False
     if args.verify and args.d <= D_MAX:
-        if not percolates(VertexSet.of(args.d, members), args.r):
+        if not percolates(VertexSet.of(args.d, construct_members(args.d, args.r)), args.r):
             print("verification failed", file=sys.stderr)
             return EXIT_NEGATIVE
         verified = True
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_members(args.d, members))
+        fh.write(construct_text(args.d, args.r))
     if args.recipe:
         _write_json(
             args.recipe,
@@ -276,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, DomainError, OSError, UnicodeDecodeError) as exc:
+    except (FormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchAborted as exc:

@@ -24,6 +24,13 @@ on the top k coordinates: the threshold-2 family lands inside the
 threshold-3 family member for member, and members come out ascending.
 Every node's members are asserted strictly ascending and as many as its
 size (embedded blocks never overlap).
+
+Seed files take a second recursion over the same recipe, _text: the top k
+coordinates are the last k characters of a line, so a product node's text
+is its children's texts, one copy per labelled selector, each line with
+the selector's coordinates appended.  It writes the bytes that
+format_members writes for _members, without formatting a member above the
+leaves, and asserts the same order and size.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from .hypercube import (
     VertexSet,
     _bits_of,
     check_threshold,
+    format_members,
     parse_vertex_set,
 )
 from .meta import Labeling, meta_percolates, parse_labeling
@@ -219,16 +227,51 @@ def _members(d: int, r: int) -> tuple[int, ...]:
         members = (0,) if r == 1 else _pair_members(d)
     else:
         members = tuple(_catalog(r, d))
-    # strictly ascending members cannot overlap, and format_members relies on the order
+    # strictly ascending members cannot overlap, and the text format lists them in order
     if len(members) != recipe.size or not all(map(lt, members, islice(members, 1, None))):
         raise AssertionError(f"members overlap or out of order assembling d={d}, r={r}")
     return members
+
+
+def _text(d: int, r: int) -> str:
+    """The lines of _members(d, r) in the vertex-set format, built block by block.
+
+    A product node's text is one part per labelled selector x: a copy of
+    the child's text whose lines end in x's k coordinates, which one
+    replace appends.  A part keeps the strict order of its child's lines,
+    so the text is strictly ascending iff each part's last member is below
+    the next part's first; reversed, a line reads x_d..x_1 and compares as
+    its vertex index.  Leaves are formatted from their members.
+    """
+    recipe = _recipe(d, r)
+    if not isinstance(recipe, Product):
+        return format_members(d, _members(d, r), header=False)
+    k = recipe.k
+    blocks = [_text(d - k, i) for i in range(1, r + 1)]
+    fmt = f"0{k}b"
+    parts = [
+        blocks[label - 1].replace("\n", format(x, fmt)[::-1] + "\n")
+        for x, label in enumerate(catalog_labeling(k).labels) if label
+    ]
+    del blocks
+    lasts = [part[-2:-d - 2:-1] for part in parts]  # each part's last line, reversed
+    firsts = [part[d - 1::-1] for part in islice(parts, 1, None)]  # the next part's first
+    text = "".join(parts)
+    if len(text) != recipe.size * (d + 1) or not all(map(lt, lasts, firsts)):
+        raise AssertionError(f"members overlap or out of order assembling d={d}, r={r}")
+    return text
 
 
 def construct_members(d: int, r: int) -> list[int]:
     """The assembled seed as a sorted vertex-index list; works beyond D_MAX."""
     _check_build_args(d, r)
     return list(_members(d, r))
+
+
+def construct_text(d: int, r: int) -> str:
+    """The assembled seed's vertex-set file, format_members(d, construct_members(d, r))."""
+    _check_build_args(d, r)
+    return f"# expected-size: {_recipe(d, r).size}\n" + _text(d, r)
 
 
 def construct_recipe(d: int, r: int) -> Recipe:

@@ -13,6 +13,12 @@ makes a file self-checking.  Duplicate vertices are rejected.  Both text
 formats (this one and the labeling format of ``meta``) read their
 ``# <name>: N`` directives through ``_data_lines``: N is ASCII decimal, and
 a repeat that changes the value is an error.
+
+Set text is written per state byte: a 256-entry table gives each byte's
+member lines (coordinates x_1..x_3) and one replace appends the byte
+index's x_4..x_d.  Reading converts a valid text through one packed
+base-2 int per block of lines; at any fault the per-line parser, the only
+one that reports errors, reads it again.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ __all__ = [
     "weight",
 ]
 
+import functools
 import itertools
 import re
-from typing import Iterable, Iterator, NamedTuple
+import sys
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 D_MAX = 28
 
@@ -111,6 +119,8 @@ def parse_vertex(text: str, d: int | None = None) -> int:
 
 _NONZERO_RUNS = re.compile(rb"[^\x00]+")
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# maps each byte to 1 if it is nonzero, else 0: the selector itertools.compress takes
+_NONZERO_BYTES = bytes([0] + [1] * 255)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -347,6 +357,11 @@ def _data_lines(lines, names: tuple[str, ...], declared: dict) -> Iterator[tuple
             yield lineno, line
 
 
+# what a data line may hold; the translate in _parse_bulk deletes it
+_DATA_CHARS = str.maketrans("", "", "01\n")
+_BLOCK_LINES = 1 << 12  # lines _parse_bulk converts through one int
+
+
 def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
     """Parse the line-based vertex-set format; raises FormatError with line numbers."""
     lines = list(map(str.strip, text.splitlines()))
@@ -357,18 +372,31 @@ def parse_vertex_set(text: str, d: int | None = None) -> VertexSet:
 def _parse_bulk(lines: list[str], d: int | None) -> VertexSet | None:
     """The set a valid text describes, or None at any fault.
 
-    The data lines are matched and converted by C-level iteration; a
+    The data lines are checked by C-level passes: their lengths, and a
+    translate that must delete every character.  They become vertices a
+    block of lines at a time, through one packed int per block: the
+    block's reversed text with each line padded to an array slot of at
+    least d bits, read in base 2 and cut into slots in native byte order,
+    where each slot holds its vertex (the byte order flips only the
+    slots' order).  Blocks keep the extra text small on large files.  A
     duplicate shows as a state with fewer bits than lines.
     """
+    from array import array  # here, so that commands that read no set skip it
+
     data = [line for line in lines if line and line[0] != "#"]
     dim = d if d is not None else len(data[0]) if data else None
-    if not (
-        type(dim) is int
-        and 1 <= dim <= D_MAX
-        and all(map(re.compile(f"[01]{{{dim}}}").fullmatch, data))
-    ):
+    if not (type(dim) is int and 1 <= dim <= D_MAX) or set(map(len, data)) - {dim}:
         return None
-    bits = _bits_of(dim, (int(line[::-1], 2) for line in data))
+    vertices = next(a for a in map(array, "BHIL") if 8 * a.itemsize >= dim)
+    pad = "0" * (8 * vertices.itemsize - dim)
+    for i in range(0, len(data), _BLOCK_LINES):
+        block = data[i:i + _BLOCK_LINES]
+        text = "\n".join(block)
+        if text.translate(_DATA_CHARS):
+            return None
+        packed = int(text[::-1].replace("\n", pad), 2)
+        vertices.frombytes(packed.to_bytes(len(block) * vertices.itemsize, sys.byteorder))
+    bits = _bits_of(dim, vertices)
     declared: dict[str, int] = {}
     try:
         for line in lines:
@@ -419,11 +447,65 @@ def format_members(d: int, members, header: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def _byte_lines(w: int) -> tuple[str, ...]:
+    """For each byte value, the lines x_1..x_w of its set bits' offsets, ascending."""
+    fmt = f"0{w}b"
+    return tuple("".join(format(i, fmt)[::-1] + "\n" for i in offs) for offs in _BYTE_OFFSETS)
+
+
+def _texts(states: Sequence[VertexSet], end: str) -> Iterator[list[str]]:
+    """The lines of each state, ascending, each line ending in end.
+
+    Each state's lines come as a list of chunks, one per kept byte, cut
+    after its last nonempty chunk (so an empty state gives []).  Every
+    state must lie inside the last one.  One Python step handles one state
+    byte q: _byte_lines gives its members' low coordinates x_1..x_3, and
+    one replace appends x_4..x_d (q reversed in d - 3 bits) and end.  Only
+    the bytes that hold a member of the last state are kept, and a state
+    rebuilds only the chunks of the kept bytes that changed since the
+    state before it.
+    """
+    d = states[-1].d
+    size = ((1 << d) + 7) // 8
+    last = states[-1].bits.to_bytes(size, "little")
+    keep = last.translate(_NONZERO_BYTES)
+    lines = _byte_lines(min(d, 3))
+    top = 1 << (d - min(d, 3))  # a leading 1 that keeps q's zeros, cut after the reversal
+    ends = [
+        format(q | top, "b")[:0:-1] + end
+        for run in _NONZERO_RUNS.finditer(last) for q in range(*run.span())
+    ]
+    chunks = [""] * len(ends)
+    before = 0
+    for s in states:
+        kept = bytes(itertools.compress(s.bits.to_bytes(size, "little"), keep))
+        bits = int.from_bytes(kept, "little")
+        for run in _NONZERO_RUNS.finditer((bits ^ before).to_bytes(len(kept), "little")):
+            for p in range(*run.span()):
+                chunks[p] = lines[kept[p]].replace("\n", ends[p])
+        before = bits
+        yield chunks[:(bits.bit_length() + 7) // 8]
+
+
 def format_vertex_set(s: VertexSet, header: bool = True) -> str:
-    """Render a vertex set in the text format, vertices in ascending index order."""
-    return format_members(s.d, s, header)
+    """Render a vertex set in the text format, vertices in ascending index order.
+
+    The text is format_members' for the same members, built by _texts.
+    """
+    head = f"# expected-size: {len(s)}\n" if header else ""
+    # an empty line when there is nothing else, as format_members writes it
+    return head + "".join(next(_texts([s], "\n"))) or "\n"
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 is a FormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def load_vertex_set(path, d: int | None = None) -> VertexSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_vertex_set(fh.read(), d)
+    return parse_vertex_set(_read_text(path), d)

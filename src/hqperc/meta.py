@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .bootstrap import _masks_for, _round_bits
 from .hypercube import (
-    DomainError, FormatError, _bits_of, _data_lines, _iter_bits, check_dimension,
+    DomainError, FormatError, _bits_of, _data_lines, _iter_bits, _read_text, check_dimension,
     check_threshold, check_vertex, format_vertex, parse_vertex,
 )
 
@@ -239,5 +239,4 @@ def format_labeling(labeling: Labeling) -> str:
 
 
 def load_labeling(path, k: int, r: int) -> Labeling:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_labeling(fh.read(), k, r)
+    return parse_labeling(_read_text(path), k, r)

@@ -12,12 +12,14 @@ from hqperc import (
     apply_automorphism,
     catalog_labeling,
     catalog_seed,
+    construct_members,
     format_labeling,
     format_vertex,
     format_vertex_set,
     trace,
 )
 from hqperc.cli import main
+from hqperc.hypercube import format_members
 
 
 def run(capsys, *argv):
@@ -135,6 +137,21 @@ def test_construct_recipe_json(capsys, tmp_path):
     assert payload["tree"]["kind"] == "product"
     assert payload["tree"]["labeling"] == "meta_l12"
     assert payload["tree"]["counts"] == [55, 33, 9, 1]
+
+
+@pytest.mark.parametrize(
+    "dims", [range(1, 61), pytest.param((120, 200), marks=pytest.mark.longrun)]
+)
+def test_construct_out_is_format_members_of_construct_members(capsys, tmp_path, dims):
+    out_path = tmp_path / "c.set"
+    for r in range(1, 5):
+        for d in dims:
+            if d >= r:
+                code, _, _ = run(capsys, "construct", "--d", str(d), "--r", str(r),
+                                 "--out", str(out_path))
+                assert code == 0
+                expected = format_members(d, construct_members(d, r))
+                assert out_path.read_bytes() == expected.encode(), (d, r)
 
 
 def test_construct_is_byte_deterministic(capsys, tmp_path):
@@ -313,11 +330,16 @@ def _trace_cases():
             for _ in range(3):
                 size = rng.randint(1, max(1, (1 << d) // 4))
                 yield VertexSet.of(d, rng.sample(range(1 << d), size)), r
+    # many state bytes at d = 9..16; at even d the seed lies in a subcube its closure never leaves
+    for d in range(9, 17):
+        yield VertexSet.of(d, rng.sample(range(1 << (d - 1 + d % 2)), 2 * d)), 2
     yield VertexSet.empty(5), 2  # one empty round
     yield VertexSet.of(6, [0, 7]), 2  # does not percolate
     yield VertexSet.full(4), 3  # already fixed
     # two blocks of 2^16 bits, seven rounds, does not percolate
     yield VertexSet.of(17, [0, 1 | 1 << 16, 0b110 | 1 << 16, 0b1000 | 1 << 16, 0b11000]), 2
+    # r = 1 grows Hamming balls: the last rounds span more than one write batch of chunks
+    yield VertexSet.of(14, [0]), 1
 
 
 def test_written_trace_is_the_json_dump_of_to_json(capsys, tmp_path):
@@ -342,8 +364,8 @@ def test_written_trace_is_the_json_dump_of_to_json(capsys, tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_trace_is_written_without_holding_its_text(tmp_path, run_fresh):
-    # the Q_14 catalog seed closes in 229 rounds; its trace JSON is 23.4 MB.  The
-    # command's payload adds about 11 MiB to the peak, the joined text would add its size
+    # the Q_14 catalog seed closes in 229 rounds; its trace JSON is 23.4 MB.  Writing
+    # it adds about 1 MiB to the peak, the joined text would add its size
     seed_path = tmp_path / "seed.set"
     seed_path.write_text(format_vertex_set(catalog_seed(14)))
     trace_path = tmp_path / "trace.json"
@@ -367,6 +389,25 @@ def test_trace_is_written_without_holding_its_text(tmp_path, run_fresh):
     assert size >= 10_000_000
     grown = int(done.stdout.splitlines()[-1]) * 1024
     assert grown < 0.75 * size
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_construct_200_is_written_from_text_blocks(tmp_path, run_fresh):
+    # the 68 MB file comes from its recipe nodes' texts and peaks near 156 MiB;
+    # formatting it from the member list peaked at 251 MiB
+    out_path = tmp_path / "c200.set"
+    done = run_fresh(
+        f"""
+        from hqperc.cli import main
+
+        assert main(["construct", "--d", "200", "--r", "4", "--out", {str(out_path)!r}]) == 0
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert out_path.stat().st_size == 68_038_323
+    assert int(done.stdout.splitlines()[-1]) < 200 * 1024  # KiB
 
 
 def test_memory_exhaustion_exits_3(capsys, monkeypatch, tmp_path):
@@ -544,7 +585,8 @@ def test_search_past_the_pool_cap_exits_3(d, run_fresh):
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
-    # a missing or non-UTF-8 input file is a usage error (2), never a definite negative (1)
+    # a missing or non-UTF-8 input file is a usage error (2), never a definite negative (1),
+    # and the message names the file
     bad = tmp_path / "bad.set"
     bad.write_bytes(b"\xff\xfe0101\n")
     for path in (tmp_path / "missing.set", bad):
@@ -555,7 +597,7 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert err.startswith("error: "), argv
+            assert err.startswith("error: ") and str(path) in err, argv
 
 
 def test_verify_r3_catalog_member(capsys, tmp_path):

@@ -292,6 +292,19 @@ def test_members_out_of_order_are_refused(monkeypatch):
         construct_members(16, 4)
 
 
+def test_text_out_of_order_is_refused(monkeypatch):
+    import builtins
+
+    from hqperc import constructions
+
+    # selector coordinates appended unreversed put a node's parts out of order
+    monkeypatch.setattr(
+        constructions, "format", lambda x, spec: builtins.format(x, spec)[::-1], raising=False
+    )
+    with pytest.raises(AssertionError, match="out of order"):
+        constructions.construct_text(16, 4)
+
+
 def test_size_laws_to_60():
     for d in range(3, 61):
         assert construction_size(d, 3) == formula_m3(d)

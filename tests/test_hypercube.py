@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from hqperc import (
     parse_vertex_set,
     weight,
 )
+from hqperc import hypercube
 from hqperc.hypercube import D_MAX, check_dimension
 
 
@@ -366,3 +368,67 @@ def test_parse_vertex_set_matches_the_per_line_parser_on_random_texts():
     assert kinds >= {
         "ok", "duplicate", "expected", "not", "conflicting", "bad", "expected-size", "dimension"
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_table_cases():
+    # d = 1..3 have one partial byte; d = 4..8, 9..16 and 17..28 parse through 8-, 16- and
+    # 32-bit slots; full and random sets up to d = 17, sparse ones (with both ends of the
+    # cube) above.  Each set comes with its lines from the per-vertex formatter
+    rng = random.Random(21)
+    sets = []
+    for d in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17):
+        sets += [VertexSet.empty(d), VertexSet.full(min(d, 15))]
+        sets.append(VertexSet.of(d, rng.sample(range(1 << d), rng.randint(1, 1 << min(d, 14)))))
+    for d in (24, 25, 28):
+        top = (1 << d) - 1
+        sets.append(VertexSet.of(d, [0, 7, 8, top - 8, top, *rng.sample(range(1 << d), 300)]))
+    return tuple((s, tuple(format_vertex(v, s.d) for v in s)) for s in sets)
+
+
+def test_format_vertex_set_matches_the_per_vertex_formatter():
+    for s, lines in _byte_table_cases():
+        text = format_vertex_set(s)
+        assert text == "\n".join([f"# expected-size: {len(s)}", *lines]) + "\n"
+        assert format_vertex_set(s, header=False) == (text.partition("\n")[2] or "\n")
+
+
+def test_packed_parser_matches_the_per_vertex_reference():
+    rng = random.Random(22)
+    for s, lines in _byte_table_cases():
+        lines = list(lines)
+        rng.shuffle(lines)
+        for _ in range(rng.randint(1, 4)):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# note", "", "  "]))
+        lines = [rng.choice(["", " ", "\t"]) + line + rng.choice(["", "  "]) for line in lines]
+        lines.insert(rng.randrange(len(lines) + 1), f"# expected-size: {len(s)}")
+        text = "\n".join(lines) + "\n"
+        # the bulk path itself must take the text, not fall back to the per-line parser
+        assert hypercube._parse_bulk(list(map(str.strip, text.splitlines())), s.d) == s
+        if s and s.d < 24:
+            assert parse_vertex_set(text) == s
+
+
+@pytest.mark.parametrize("d", [3, 9, 17, 25])
+def test_packed_parser_leaves_bad_lines_to_the_per_line_parser(d):
+    s = VertexSet.of(d, [1, 4, (1 << d) - 1])
+    lines = format_vertex_set(s).splitlines()  # the header, then three vertex lines
+    for bad, message in (
+        (lines + [lines[2]], f"line 5: duplicate vertex {lines[2]}"),
+        (lines[:2] + [lines[2][:-1] + "x"] + lines[3:], "line 3: not a 0/1 coordinate string"),
+        (lines[:3] + [lines[3] + "0"] + lines[4:], f"line 4: expected {d} coordinates, got {d + 1}"),
+    ):
+        text = "\n".join(bad) + "\n"
+        assert hypercube._parse_bulk(bad, d) is None
+        with pytest.raises(FormatError) as err:
+            parse_vertex_set(text, d)
+        assert str(err.value).startswith(message)
+
+
+def test_packed_parser_checks_every_block_of_lines():
+    lines = format_vertex_set(VertexSet.full(13)).splitlines()  # 8,193 lines: two blocks and one
+    lines[-1] = lines[-1][:-1] + "2"
+    assert hypercube._parse_bulk(lines, 13) is None
+    with pytest.raises(FormatError) as err:
+        parse_vertex_set("\n".join(lines) + "\n", 13)
+    assert str(err.value).startswith(f"line {len(lines)}: not a 0/1 coordinate string")

@@ -45,12 +45,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _write_json(path: str, payload: dict) -> None:
-    import json  # here and in the other JSON writers, so that start-up skips it
+def _write_json(fh, payload: dict) -> None:
+    """Write payload to the open file fh as indented, key-sorted JSON and a newline."""
+    import json  # here, so that start-up skips it
 
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_trace(path: str, history) -> None:
@@ -111,16 +110,17 @@ def _cmd_construct(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(construct_text(args.d, args.r))
     if args.recipe:
-        _write_json(
-            args.recipe,
-            {
-                "d": args.d,
-                "r": args.r,
-                "size": recipe.size,
-                "percolation": "verified" if verified else "unverified",
-                "tree": recipe.to_json(),
-            },
-        )
+        with open(args.recipe, "w", encoding="utf-8") as fh:
+            _write_json(
+                fh,
+                {
+                    "d": args.d,
+                    "r": args.r,
+                    "size": recipe.size,
+                    "percolation": "verified" if verified else "unverified",
+                    "tree": recipe.to_json(),
+                },
+            )
     print(f"wrote {recipe.size} vertices to {args.out}")
     if args.verify and not verified:
         print(f"unverifiable at this scale: d={args.d} exceeds the simulation cap {D_MAX}")
@@ -155,9 +155,7 @@ def _cmd_meta_verify(args) -> int:
 def _cmd_bound(args) -> int:
     report = bounds.bound_report(args.d, args.r)
     if args.format == "json":
-        import json
-
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _write_json(sys.stdout, report.to_json())
     else:
         print(f"d: {report.d}, r: {report.r}")
         print(f"lower: {report.lower} ({bounds.LOWER_BOUND_NOTE})")
@@ -190,9 +188,7 @@ def _cmd_table(args) -> int:
             }
         )
     if args.format == "json":
-        import json
-
-        print(json.dumps({"r": args.r, "rows": rows}, indent=2, sort_keys=True))
+        _write_json(sys.stdout, {"r": args.r, "rows": rows})
     elif args.format == "csv":
         print("d,lower,construction,cap,exact")
         for row in rows:

@@ -64,6 +64,7 @@ from .hypercube import (
     DomainError,
     VertexSet,
     _bits_of,
+    check_dimension,
     check_threshold,
     format_members,
     parse_vertex_set,
@@ -327,9 +328,7 @@ def product_construction(labeling: Labeling, parts: Sequence[VertexSet]) -> Vert
     for s in parts:
         if s.d != inner:
             raise DomainError(f"dimension mismatch among parts: {s.d} != {inner}")
-    d = k + inner
-    if d > D_MAX:
-        raise DomainError(f"dimension too large: {d} > {D_MAX}")
+    d = check_dimension(k + inner)
     if inner < r:
         raise DomainError(f"parts in Q_{inner} cannot percolate at threshold {r}")
     for i in range(r - 2):

@@ -313,10 +313,8 @@ class Automorphism(_AutomorphismFields):
         inv = [0] * self.d
         for j, src in enumerate(self.perm):
             inv[src] = j
-        flip = 0
-        for j in range(self.d):
-            flip |= ((self.flip >> inv[j]) & 1) << j
-        return Automorphism(tuple(inv), flip)
+        inverse = Automorphism(tuple(inv), 0)
+        return inverse._replace(flip=inverse._permute(self.flip))
 
 
 def apply_automorphism(a: Automorphism, s: VertexSet) -> VertexSet:
@@ -499,10 +497,10 @@ def format_vertex_set(s: VertexSet, header: bool = True) -> str:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file; a file that is not UTF-8 is a FormatError naming it."""
+    """A UTF-8 file's text less a leading byte-order mark; a non-UTF-8 file is a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 

@@ -15,6 +15,7 @@ from hqperc import (
     closure,
     construct,
     layer,
+    lower_bound,
     percolates,
     reference_closure,
     search_percolating_set,
@@ -394,6 +395,39 @@ def test_minimum_percolating_set_of_q5_at_threshold_5_has_16_vertices():
     # m(Q_5, 5) = 16: no 15-set percolates, and the even-weight vertices do
     assert search_percolating_set(5, 5, 15, budget=comb(32, 15)) is None
     assert len(even_weight(5)) == 16 and percolates(even_weight(5), 5)
+
+
+def test_small_case_witnesses_are_minimal_percolating_sets():
+    # (d, r, m(Q_d, r)): a percolating set of that size.  lower_bound makes 41 and 61
+    # exact; the halving bound m(Q_d, r) >= 2 m(Q_{d-1}, r - 1) makes 28, 56 and 112
+    # exact from m(Q_5, 4) = 14, which the search above settles
+    q7_r6 = (
+        "0 3 5 6 9 10 12 15 17 18 20 27 29 30 33 34 39 40 45 46 48 51 53 54 57 58 60 63 65"
+        " 68 71 72 75 78 80 83 85 86 89 90 92 95 96 99 101 102 105 106 108 111 114 116 119"
+        " 120 123 125"
+    )
+    witnesses = {
+        (6, 5, 28): "1 2 4 7 8 11 13 14 19 21 22 25 26 28 32 35 38 41 44 47 49 50 52 55 56"
+        " 59 61 62",
+        (7, 5, 41): "1 2 8 11 14 16 19 21 26 28 32 35 37 41 44 47 50 52 55 59 61 67 70 73"
+        " 76 79 81 84 87 88 91 98 101 103 104 110 118 121 122 124 127",
+        (8, 5, 61): "1 2 7 13 19 22 26 28 32 38 42 47 52 55 56 59 61 69 70 73 74 84 87 91 94"
+        " 98 100 109 112 115 117 122 127 131 133 140 146 161 164 168 174 179 181 185 188 199"
+        " 200 203 206 211 217 220 223 224 227 229 233 239 242 248 254",
+        (7, 6, 56): q7_r6,
+        (8, 7, 112): q7_r6 + " 130 132 135 136 139 141 144 147 149 150 153 154 156 159 160"
+        " 163 165 166 169 170 172 175 177 180 183 184 187 190 192 195 197 198 201 202 204 207"
+        " 209 210 215 216 221 222 225 226 228 235 237 238 240 243 245 246 249 250 252 255",
+    }
+    minimum = {(5, 4): 14} | {(d, r): size for d, r, size in witnesses}
+    for (d, r, size), text in witnesses.items():
+        members = [int(v) for v in text.split()]
+        seed = VertexSet.of(d, members)
+        assert len(members) == len(seed) == size, (d, r)
+        assert percolates(seed, r) and reference_closure(seed, r).is_full(), (d, r)
+        # each vertex is needed: dropping any one stops percolation
+        assert not any(percolates(seed.discard(v), r) for v in members), (d, r)
+        assert size in (lower_bound(d, r), 2 * minimum.get((d - 1, r - 1), 0)), (d, r)
 
 
 def test_lane_patterns_list_the_combinations():

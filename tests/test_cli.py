@@ -600,6 +600,24 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
             assert err.startswith("error: ") and str(path) in err, argv
 
 
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    # a UTF-8 file that starts with a byte-order mark reads as the same file without it
+    files = {
+        "s.set": format_vertex_set(catalog_seed(4)),
+        "l.lab": format_labeling(catalog_labeling(3)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / ("bom-" + name)).write_text("\ufeff" + text, encoding="utf-8")
+    for name, argv in (
+        ("s.set", ("verify", "--d", "4", "--r", "4", "--set")),
+        ("l.lab", ("meta-verify", "--k", "3", "--r", "3", "--labeling")),
+    ):
+        plain = run(capsys, *argv, str(tmp_path / name))
+        assert plain[0] == 0 and plain[2] == "", plain
+        assert run(capsys, *argv, str(tmp_path / ("bom-" + name))) == plain
+
+
 def test_verify_r3_catalog_member(capsys, tmp_path):
     from hqperc import seed_r3
 

@@ -144,7 +144,7 @@ def test_product_rejects_dimension_mismatch():
     with pytest.raises(DomainError):
         product_construction(catalog_labeling(3), (seed_r1(6), seed_r2(6)))
     parts = (seed_r1(17), seed_r2(17), seed_r3(17), construct(17, 4)[0])
-    with pytest.raises(DomainError, match="too large: 29 > 28"):
+    with pytest.raises(DomainError, match="^dimension too large: 29 > 28$"):
         product_construction(catalog_labeling(12), parts)
     parts = (seed_r1(3), seed_r2(3), seed_r3(3), VertexSet.full(3))
     with pytest.raises(DomainError, match="parts in Q_3 cannot percolate at threshold 4"):
@@ -251,6 +251,25 @@ def test_recipes_and_sizes_read_no_asset(run_fresh):
         """
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_catalog_assets_are_checked_against_their_tables(monkeypatch):
+    # a shipped seed of the wrong size, or a labeling with the wrong histogram, is
+    # refused.  __wrapped__ is the uncached loader, so the process-wide caches stay clean
+    from hqperc import constructions
+
+    texts = {"s4_d5.set": "00000\n", "meta_l3.lab": "000 3\n110 2\n011 1\n"}
+    monkeypatch.setattr(constructions, "_asset_text", texts.__getitem__)
+    with pytest.raises(DomainError) as seed_error:
+        constructions._catalog.__wrapped__(4, 5)
+    assert str(seed_error.value) == "catalog seed s4_d5 has 1 vertices, expected 14"
+    with pytest.raises(DomainError) as labeling_error:
+        constructions.catalog_labeling.__wrapped__(3)
+    assert str(labeling_error.value) == (
+        "catalog labeling meta_l3 has histogram (1, 1, 1), expected (1, 2, 1)"
+    )
+    monkeypatch.undo()
+    assert len(catalog_seed(5)) == 14 and catalog_labeling(3).histogram() == (1, 2, 1)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

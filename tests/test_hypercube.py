@@ -100,6 +100,18 @@ def test_automorphism_compose_inverse_is_identity():
         a = Automorphism.random(rng, d)
         assert a.compose(a.inverse()) == Automorphism.identity(d)
         assert a.inverse().compose(a) == Automorphism.identity(d)
+        assert type(a.inverse()) is Automorphism and a.inverse().inverse() == a
+        for v in (0, (1 << d) - 1, rng.randrange(1 << d)):
+            assert a.inverse().apply(a.apply(v)) == v
+            assert a.apply(a.inverse().apply(v)) == v
+
+
+def test_automorphism_dimension_mismatch():
+    a = Automorphism.identity(3)
+    with pytest.raises(DomainError, match="dimension mismatch: 3 != 4"):
+        a.compose(Automorphism.identity(4))
+    with pytest.raises(DomainError, match="dimension mismatch: 3 != 4"):
+        apply_automorphism(a, VertexSet.empty(4))
 
 
 def test_automorphism_preserves_adjacency():
@@ -172,14 +184,27 @@ def test_vertex_set_dimension_checks():
         VertexSet(0)
     with pytest.raises(DomainError):
         VertexSet(29)
+    for d in (3.0, True, "3"):
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            VertexSet(d)
     with pytest.raises(DomainError):
         VertexSet.of(2, [0]) | VertexSet.of(3, [0])
+    with pytest.raises(TypeError, match="expected VertexSet, got int"):
+        VertexSet.of(2, [0]) | 3
     for bits in (True, 1.5):
         with pytest.raises(DomainError, match="bitmask must be an integer"):
             VertexSet(3, bits)
     for bits in (-1, 1 << 8):
         with pytest.raises(DomainError, match="outside Q_3"):
             VertexSet(3, bits)
+
+
+def test_vertex_set_repr_lists_at_most_five_members_past_eight():
+    assert repr(VertexSet.of(3, [1, 6])) == "VertexSet(d=3, {100, 011})"
+    assert repr(VertexSet.full(3)) == "VertexSet(d=3, {000, 100, 010, 110, 001, 101, 011, 111})"
+    assert repr(VertexSet.of(4, range(9))) == (
+        "VertexSet(d=4, |S|=9, {0000, 1000, 0100, 1100, 0010, ...})"
+    )
 
 
 def test_vertex_set_is_immutable():

@@ -301,13 +301,18 @@ class InfectionTrace:
         # Each round is the round before plus its new members: two ascending
         # runs of positions that sorted() merges in C.
         size = ((1 << self.d) + 7) // 8
+        # A last round that keeps every byte (as a percolating trace's does)
+        # needs no selection.
         keep = self.rounds[-1].bits.to_bytes(size, "little").translate(_NONZERO_BYTES)
+        width = keep.count(1)
 
         def kept(s: VertexSet) -> int:  # the kept bytes of s, as one integer
+            if width == size:
+                return s.bits
             return int.from_bytes(bytes(compress(s.bits.to_bytes(size, "little"), keep)), "little")
 
         fmt = f"0{self.d}b"
-        table = [None] * (8 * keep.count(1))
+        table = [None] * (8 * width)
         for p, v in zip(_iter_bits(kept(self.rounds[-1])), self.rounds[-1]):
             table[p] = format(v, fmt)[::-1]
         rounds, taken, before = [], [], 0

@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 import functools
-from importlib import resources
 from itertools import chain, islice
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -132,6 +131,8 @@ Recipe = Union[Leaf, Product]
 
 
 def _asset_text(name: str) -> str:
+    from importlib import resources  # here, so that start-up skips it and pathlib
+
     return (resources.files(__package__) / "assets" / name).read_text(encoding="utf-8")
 
 

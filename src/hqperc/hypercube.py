@@ -475,10 +475,14 @@ def _texts(states: Sequence[VertexSet], end: str) -> Iterator[list[str]]:
         for run in _NONZERO_RUNS.finditer(last) for q in range(*run.span())
     ]
     chunks = [""] * len(ends)
+    every = len(ends) == size  # a full last state keeps every byte, as a percolating trace does
     before = 0
     for s in states:
-        kept = bytes(itertools.compress(s.bits.to_bytes(size, "little"), keep))
-        bits = int.from_bytes(kept, "little")
+        if every:
+            kept, bits = s.bits.to_bytes(size, "little"), s.bits
+        else:
+            kept = bytes(itertools.compress(s.bits.to_bytes(size, "little"), keep))
+            bits = int.from_bytes(kept, "little")
         for run in _NONZERO_RUNS.finditer((bits ^ before).to_bytes(len(kept), "little")):
             for p in range(*run.span()):
                 chunks[p] = lines[kept[p]].replace("\n", ends[p])

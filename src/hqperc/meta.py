@@ -17,8 +17,9 @@ A sweep runs on the level sets H_t = {v : label >= t}, t = 1..r, with the
 bootstrap round: v's r-th highest neighbour label is >= t iff v has r
 neighbours in H_t, so promotion is the r-neighbour round of each H_t.
 Completion adds to every level the union over c = 0..r-1 of H_c (H_0 = Q_k)
-and the (r-c)-neighbour round of H_r.  The new label of v counts the levels
-holding it.  _rule_result keeps the per-vertex rules as the reference.
+and the (r-c)-neighbour round of H_r; H_r's neighbours are counted once and
+read at each threshold.  The new label of v counts the levels holding it.
+_rule_result keeps the per-vertex rules as the reference.
 
 Labeling text format: lines ``<k-bit string> <label>``; '#' starts a
 comment; unlisted vertices default to label 0; duplicate vertices and
@@ -45,7 +46,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _masks_for, _round_bits
+from .bootstrap import _add, _images, _masks_for, _plane_count, _reached, _round_bits
 from .hypercube import (
     DomainError, FormatError, _bits_of, _data_lines, _iter_bits, _read_text, check_dimension,
     check_threshold, check_vertex, format_vertex, parse_vertex,
@@ -137,12 +138,19 @@ def _from_levels(levels: list[int], k: int, r: int) -> Labeling:
 
 
 def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
-    """One synchronous sweep of both rules on the level sets."""
+    """One synchronous sweep of both rules on the level sets.
+
+    Completion reads the thresholds r - c from one count of the top level's
+    neighbours.  Its c = 0 term is the top level's own promotion, so the
+    completed set is the new top level.
+    """
     top = levels[-1]
-    completed = 0
+    planes = [0] * _plane_count(r)
+    _add(planes, _images(top, masks))
+    completed = top
     for c, h in enumerate([full, *levels[:-1]]):
-        completed |= h & _round_bits(top, r - c, masks, full)
-    return [_round_bits(h, r, masks, full) | completed for h in levels]
+        completed |= h & _reached(r - c, planes, full)
+    return [_round_bits(h, r, masks, full) | completed for h in levels[:-1]] + [completed]
 
 
 def meta_step(labeling: Labeling) -> Labeling:
@@ -155,21 +163,25 @@ def meta_step(labeling: Labeling) -> Labeling:
     return _from_levels(_sweep(_levels(labeling), r, *_masks_for(k)), k, r)
 
 
-def meta_fixpoint(labeling: Labeling) -> Labeling:
-    """Iterate the synchronous sweep to the first fixed point."""
-    k, r = labeling.k, labeling.r
-    masks, full = _masks_for(k)
+def _fixed_levels(labeling: Labeling) -> list[int]:
+    """The level sets H_1..H_r of the first fixed point of the synchronous sweep."""
+    masks, full = _masks_for(labeling.k)
     levels = _levels(labeling)
     while True:
-        nxt = _sweep(levels, r, masks, full)
+        nxt = _sweep(levels, labeling.r, masks, full)
         if nxt == levels:
-            return _from_levels(levels, k, r)
+            return levels
         levels = nxt
 
 
+def meta_fixpoint(labeling: Labeling) -> Labeling:
+    """Iterate the synchronous sweep to the first fixed point."""
+    return _from_levels(_fixed_levels(labeling), labeling.k, labeling.r)
+
+
 def meta_percolates(labeling: Labeling) -> bool:
-    """True iff every vertex eventually receives label r."""
-    return meta_fixpoint(labeling).is_all(labeling.r)
+    """True iff every vertex eventually receives label r: the fixed point's H_r is all of Q_k."""
+    return _fixed_levels(labeling)[-1] == (1 << (1 << labeling.k)) - 1
 
 
 def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> Labeling:

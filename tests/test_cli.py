@@ -308,7 +308,8 @@ def test_multi_block_closure_out_is_pinned(capsys, tmp_path, seed, r, stdout, di
 
 
 def test_multi_block_closure_trace_is_pinned(capsys, tmp_path):
-    # a d = 17 seed with members in both blocks that closes in seven rounds at r = 2
+    # a d = 17 seed with members in both blocks that closes in seven rounds at r = 2.
+    # Its last state has zero bytes, so the trace keeps only some state bytes
     path = tmp_path / "seed.set"
     seed = VertexSet.of(17, [0, 1 | 1 << 16, 0b110 | 1 << 16, 0b1000 | 1 << 16, 0b11000])
     path.write_text(format_vertex_set(seed))
@@ -644,16 +645,45 @@ def test_search_ignores_thread_env(capsys, monkeypatch):
     assert out.splitlines() == ["00", "11"]
 
 
-def test_cli_import_loads_no_heavy_stdlib_module(run_fresh):
-    # every command pays for what `import hqperc.cli` loads: dataclasses (with
-    # inspect), logging and json cost about 20 ms there and serve only a few paths
+def _modules_added_by_cli_import(run_fresh, *options):
     listed = "import sys; print(*sorted(sys.modules))"
-    bare = run_fresh(listed)
-    loaded = run_fresh("import hqperc.cli; " + listed)
+    bare = run_fresh(listed, *options)
+    loaded = run_fresh("import hqperc.cli; " + listed, *options)
     assert bare.returncode == loaded.returncode == 0, loaded.stderr
     added = set(loaded.stdout.split()) - set(bare.stdout.split())
     assert "hqperc.cli" in added
+    return added
+
+
+def test_cli_import_loads_no_heavy_stdlib_module(run_fresh):
+    # every command pays for what `import hqperc.cli` loads: dataclasses (with
+    # inspect), logging and json cost about 20 ms there and serve only a few paths
+    added = _modules_added_by_cli_import(run_fresh)
     assert not added & {"dataclasses", "inspect", "logging", "json"}, sorted(added)
+
+
+def test_cli_import_without_site_loads_no_resource_reader(run_fresh):
+    # -S: no site .pth file preloads anything, as in a stock interpreter.  There
+    # importlib.resources brings pathlib, tempfile, shutil, urllib.parse and
+    # random (30 modules, about 7 ms); only the catalog's asset reads need it
+    added = _modules_added_by_cli_import(run_fresh, "-S")
+    forbidden = {"dataclasses", "inspect", "logging", "json", "importlib.resources", "pathlib"}
+    assert not added & forbidden, sorted(added)
+
+
+@pytest.mark.parametrize("module", ["hqperc", "hqperc.cli"])
+def test_python_m_runs_the_cli(module, run_fresh, tmp_path):
+    missing = str(tmp_path / "missing.set")
+    done = run_fresh(None, "-m", module, "verify", "--set", missing, "--d", "3", "--r", "1")
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "missing.set" in done.stderr
+
+
+def test_python_m_hqperc_help_exits_0(run_fresh):
+    done = run_fresh(None, "-m", "hqperc", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: hqperc")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

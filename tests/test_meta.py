@@ -125,6 +125,26 @@ def test_meta_step_matches_reference_sweep():
     assert sweeps == 58 and lab.is_all(4)
 
 
+def test_meta_percolates_reads_the_top_level_of_the_fixpoint():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        r = rng.randint(1, 6)
+        lab = random_labeling(rng, k, r)
+        outcome = meta_percolates(lab)
+        assert outcome == meta_fixpoint(lab).is_all(r)
+        outcomes.add((outcome, r > k))
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+    for k in (3, 6, 4, 12):
+        assert meta_percolates(catalog_labeling(k))
+    # fixed with H_1 = H_2 = Q_2 but H_3 = {00}: vertex 10 has one label-3
+    # neighbour where completion needs two, and only two neighbours in all
+    lab = Labeling.of(2, 3, {0: 3, 1: 1, 2: 1, 3: 1})
+    assert meta_fixpoint(lab) == lab
+    assert not meta_percolates(lab)
+
+
 def test_empty_schedule_equals_fixpoint():
     lab = catalog_labeling(4)
     assert schedule_oracle(lab, []) == meta_fixpoint(lab)

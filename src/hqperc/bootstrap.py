@@ -145,11 +145,16 @@ def _reached(r: int, planes: list[int], full: int) -> int:
     return ge | eq
 
 
-def _at_least(r: int, images, full: int) -> int:
-    """The lanes set in at least r of the images: the images added into fresh planes."""
+def _counts(r: int, images) -> list[int]:
+    """The images added up in fresh counter planes wide enough to compare with r."""
     planes = [0] * _plane_count(r)
     _add(planes, images)
-    return _reached(r, planes, full)
+    return planes
+
+
+def _at_least(r: int, images, full: int) -> int:
+    """The lanes set in at least r of the images."""
+    return _reached(r, _counts(r, images), full)
 
 
 def _images(bits: int, masks) -> list[int]:
@@ -301,18 +306,13 @@ class InfectionTrace:
         # Each round is the round before plus its new members: two ascending
         # runs of positions that sorted() merges in C.
         size = ((1 << self.d) + 7) // 8
-        # A last round that keeps every byte (as a percolating trace's does)
-        # needs no selection.
         keep = self.rounds[-1].bits.to_bytes(size, "little").translate(_NONZERO_BYTES)
-        width = keep.count(1)
 
         def kept(s: VertexSet) -> int:  # the kept bytes of s, as one integer
-            if width == size:
-                return s.bits
             return int.from_bytes(bytes(compress(s.bits.to_bytes(size, "little"), keep)), "little")
 
         fmt = f"0{self.d}b"
-        table = [None] * (8 * width)
+        table = [None] * (8 * keep.count(1))
         for p, v in zip(_iter_bits(kept(self.rounds[-1])), self.rounds[-1]):
             table[p] = format(v, fmt)[::-1]
         rounds, taken, before = [], [], 0

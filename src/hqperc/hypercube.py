@@ -475,7 +475,9 @@ def _texts(states: Sequence[VertexSet], end: str) -> Iterator[list[str]]:
         for run in _NONZERO_RUNS.finditer(last) for q in range(*run.span())
     ]
     chunks = [""] * len(ends)
-    every = len(ends) == size  # a full last state keeps every byte, as a percolating trace does
+    # every byte of the last state is nonzero (true of every percolating
+    # trace), so compress would select them all
+    every = len(ends) == size
     before = 0
     for s in states:
         if every:

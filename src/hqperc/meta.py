@@ -46,7 +46,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _add, _images, _masks_for, _plane_count, _reached, _round_bits
+from .bootstrap import _counts, _images, _masks_for, _reached, _round_bits
 from .hypercube import (
     DomainError, FormatError, _bits_of, _data_lines, _iter_bits, _read_text, check_dimension,
     check_threshold, check_vertex, format_vertex, parse_vertex,
@@ -145,8 +145,7 @@ def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
     completed set is the new top level.
     """
     top = levels[-1]
-    planes = [0] * _plane_count(r)
-    _add(planes, _images(top, masks))
+    planes = _counts(r, _images(top, masks))
     completed = top
     for c, h in enumerate([full, *levels[:-1]]):
         completed |= h & _reached(r - c, planes, full)

@@ -19,6 +19,13 @@ fixed point for closure, trace and step.  The meta process and the per-set
 search call the dense round ``_round_bits``, which counts from fresh
 planes with the same ``_at_least``.
 
+A closure or trace of more than one block, in a single-threaded process
+with a second usable CPU, splits every round between this process and one
+helper forked for the run.  Blocks go by the parity of their index's
+weight, so each block's neighbour blocks are all on the other side; each
+round the two sides swap their new deltas through a pipe pair, and shift
+their own while the messages travel.  ``step`` never forks.
+
 By Aut(Q_d) symmetry the search scans, in one process, only the sets that
 can be the first witness, in lexicographic order.  On small cubes it
 decides them in lane batches (bit-slicing across instances, after Biham,
@@ -44,9 +51,10 @@ __all__ = [
 ]
 
 import functools
+import os
 from itertools import combinations, compress, islice
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .hypercube import (
     DomainError,
@@ -59,6 +67,9 @@ from .hypercube import (
     neighbors,
     weight,
 )
+
+if TYPE_CHECKING:
+    from ._helper import Link
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -185,9 +196,64 @@ def _join(blocks: list[int]) -> int:
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in blocks), "little")
 
 
-def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
+def _use_helper(nblocks: int) -> bool:
+    """Whether a closure of nblocks production blocks splits its rounds with a forked helper.
+
+    Only with more than one block, at least two usable CPUs, os.fork, and a
+    single thread in this process: a forked copy of a threaded process can
+    deadlock, and Python 3.12+ warns about it.
+    """
+    if nblocks < 2 or not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1  # every thread, C-level ones too
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _rounds(blocks: list[int], b: int, r: int, split: bool) -> Iterator[list[int]]:
     """Update the blocks in place and yield them after each strictly growing
     round, up to the fixed point.
+
+    With split, the blocks of odd weight go to a helper forked for the run
+    (see ``_side_rounds``), and this process ORs the helper's deltas into
+    its copy of those blocks, so each yield is still the whole state.  The
+    pipes are closed and the helper reaped when the rounds end, fail or are
+    abandoned.
+    """
+    def helper(link):
+        for _ in _side_rounds(blocks, b, r, link):
+            pass
+
+    link = None
+    if split:
+        from . import _helper  # process code, compiled only when a closure splits
+
+        link = _helper.fork(helper)
+    full = (1 << (1 << b)) - 1
+    try:
+        for other in _side_rounds(blocks, b, r, link):
+            for i, x in other.items():
+                y = blocks[i] | x
+                blocks[i] = full if y == full else y
+            yield blocks
+    finally:
+        if link is not None:
+            link.close()
+
+
+def _side_rounds(blocks: list[int], b: int, r: int,
+                 link: Link | None) -> Iterator[dict[int, int]]:
+    """Run one side's blocks to the fixed point, in place, and yield the other
+    side's new deltas after each strictly growing round.
 
     Each block that is not full keeps its vertices' infected-neighbour counts
     in counter planes from one round to the next.  A round first adds the
@@ -199,19 +265,45 @@ def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
     Only the neighbourhood of the deltas is visited, a block dirty only
     through a neighbour shifts nothing, and a full block drops its planes and
     shares one int with every other full block.
+
+    Without a link one side owns every block, and the other side sends
+    nothing.  With a link this process owns the blocks of even weight and the
+    helper those of odd weight, so every neighbour block of a block is on the
+    other side.  A side sends its new deltas, adds their shifted images while
+    the message travels, receives the other side's deltas, and adds them to
+    the blocks they border.  Both sides see the same deltas, so both stop
+    after the same round.
     """
     masks, full = _masks_for(b)
     flips = [1 << j for j in range(len(blocks).bit_length() - 1)]
     nplanes = _plane_count(r)
     counts = {}
-    deltas = {i: x for i, x in enumerate(blocks) if x}
-    while True:
-        dirty = [i for i in {i ^ f for i in deltas for f in (0, *flips)} if blocks[i] != full]
+
+    def count(shifted: dict[int, int], border: dict[int, int]) -> set[int]:
+        """Add the images of the shifted deltas and the deltas of the border
+        blocks to the counts of the blocks they reach, and return those of
+        the reached blocks that are not full."""
+        dirty = {i for i in {i ^ f for i in border for f in flips}.union(shifted)
+                 if blocks[i] != full}
         for i in dirty:
-            images = [deltas[i ^ f] for f in flips if i ^ f in deltas]
-            if i in deltas:
-                images += _images(deltas[i], masks)
+            images = [border[i ^ f] for f in flips if i ^ f in border]
+            if i in shifted:
+                images += _images(shifted[i], masks)
             _add(counts.setdefault(i, [0] * nplanes), images)
+        return dirty
+
+    # round 1 counts every block as its own delta; the other side's need no message
+    deltas, other = {}, {}
+    for i, x in enumerate(blocks):
+        if x:
+            (other if link and i.bit_count() & 1 != link.side else deltas)[i] = x
+    if link is not None:
+        shifted = count(deltas, {})
+    while True:
+        if link is None:
+            dirty = count(deltas, deltas)
+        else:
+            dirty = shifted | count({}, other)
         deltas = {}
         for i in dirty:
             x = blocks[i]
@@ -222,9 +314,13 @@ def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
                     y = full  # the one shared int
                     del counts[i]
                 blocks[i] = y
-        if not deltas:
+        if link is not None:
+            link.send(deltas)
+            shifted = count(deltas, {})
+            other = link.receive()
+        if not deltas and not other:
             return
-        yield blocks
+        yield other
 
 
 def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int]:
@@ -232,7 +328,7 @@ def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int]:
     check_threshold(r, a0.d)
     blocks, b = _split(a0.bits, a0.d)
     rounds = 0
-    for rounds, blocks in enumerate(_rounds(blocks, b, r), 1):
+    for rounds, blocks in enumerate(_rounds(blocks, b, r, _use_helper(len(blocks))), 1):
         pass
     return blocks, b, rounds
 
@@ -257,7 +353,7 @@ def percolates(a0: VertexSet, r: int) -> bool:
 def step(a: VertexSet, r: int) -> VertexSet:
     """One synchronous round of the r-neighbour update."""
     check_threshold(r, a.d)
-    for blocks in _rounds(*_split(a.bits, a.d), r):
+    for blocks in _rounds(*_split(a.bits, a.d), r, False):
         return VertexSet(a.d, _join(blocks))
     return a
 
@@ -328,7 +424,9 @@ def trace(a0: VertexSet, r: int) -> InfectionTrace:
     """Run the process round by round, recording every intermediate state."""
     check_threshold(r, a0.d)
     d = a0.d
-    rounds = (a0, *(VertexSet(d, _join(blocks)) for blocks in _rounds(*_split(a0.bits, d), r)))
+    blocks, b = _split(a0.bits, d)
+    states = _rounds(blocks, b, r, _use_helper(len(blocks)))
+    rounds = (a0, *(VertexSet(d, _join(state)) for state in states))
     return InfectionTrace(d, r, rounds, rounds[-1].is_full())
 
 

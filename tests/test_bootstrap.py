@@ -1,9 +1,12 @@
 import itertools
+import marshal
+import os
 import random
 from math import comb
 
 import pytest
 
+import hqperc._helper as _helper
 import hqperc.bootstrap as bootstrap
 from hqperc import (
     Automorphism,
@@ -25,6 +28,7 @@ from hqperc import (
     weight,
 )
 from hqperc.bootstrap import closure_rounds
+from hqperc.cli import main
 
 
 def even_weight(d):
@@ -130,11 +134,12 @@ def _dense_rounds(bits, d, r):
     return states
 
 
-def _block_rounds(bits, d, r, b):
+def _block_rounds(bits, d, r, b, split):
+    # split: the blocks of odd weight go to a forked helper, whatever d and the CPUs
     low = (1 << (1 << b)) - 1
     blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
     return [sum(x << (i << b) for i, x in enumerate(state))
-            for state in bootstrap._rounds(blocks, b, r)]
+            for state in bootstrap._rounds(blocks, b, r, split)]
 
 
 def _relabeled(seed, rng):
@@ -143,7 +148,8 @@ def _relabeled(seed, rng):
 
 def test_block_round_matches_the_single_block_round():
     # cut into 2^(d-b) blocks that carry their counts from round to round, the round
-    # must yield every state of the dense single-block round that counts from zero
+    # must yield every state of the dense single-block round that counts from zero,
+    # in one process and split by block parity with a forked helper
     rng = random.Random(43)
     for d in range(1, 11):
         n = 1 << d
@@ -160,18 +166,167 @@ def test_block_round_matches_the_single_block_round():
             for r in range(1, min(5, d) + 1):
                 expected = _dense_rounds(bits, d, r)
                 for b in {1, 2, d - 1, d} & set(range(1, d + 1)):
-                    assert _block_rounds(bits, d, r, b) == expected, (d, r, b, bits)
+                    for split in (False, True):
+                        assert _block_rounds(bits, d, r, b, split) == expected, (
+                            d, r, b, split, bits)
 
 
 @pytest.mark.longrun
 def test_block_round_matches_the_dense_round_at_18():
     # the relabeled r = 4 construction of Q_18 (66 rounds) in production blocks of 2^16
-    # bits and in 512 blocks of 2^9; at r = 5 it stops short of the full cube
+    # bits and in 512 blocks of 2^9, in one process and split; at r = 5 it stops short
+    # of the full cube
     bits = _relabeled(construct(18, 4)[0], random.Random(47))
     for r in (4, 5):
         expected = _dense_rounds(bits, 18, r)
         for b in (9, 16):
-            assert _block_rounds(bits, 18, r, b) == expected, (r, b)
+            for split in (False, True):
+                assert _block_rounds(bits, 18, r, b, split) == expected, (r, b, split)
+
+
+@pytest.fixture
+def helper_on(monkeypatch):
+    # every closure of more than one block splits its rounds, whatever the CPUs
+    monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: True)
+
+
+def _no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_helper(parent, fail):
+    # a stand-in for _images that calls fail() in every process but the parent
+    images = bootstrap._images
+
+    def patched(bits, masks):
+        if os.getpid() != parent:
+            fail()
+        return images(bits, masks)
+
+    return patched
+
+
+@pytest.mark.parametrize("d", [17, 18])
+def test_split_closures_match_the_one_process_closures(d, monkeypatch):
+    seed = construct(d, 4)[0]
+    cases = [(seed, 4), (VertexSet(d, _relabeled(seed, random.Random(d))), 4), (seed, 5),
+             (seed.discard(max(seed)), 4)]
+    for a0, r in cases:
+        monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: False)
+        alone = closure_rounds(a0, r), trace(a0, r)
+        monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: True)
+        assert (closure_rounds(a0, r), trace(a0, r)) == alone, (d, r)
+        _no_process_left()
+
+
+def test_split_closures_leave_no_process(helper_on):
+    seed = construct(18, 4)[0]
+    assert closure(seed, 4).is_full()
+    _no_process_left()
+    assert percolates(seed, 4)
+    _no_process_left()
+    assert len(trace(seed, 4).rounds) == 67
+    _no_process_left()
+    rounds = bootstrap._rounds(*bootstrap._split(seed.bits, 18), 4, True)
+    next(rounds)
+    del rounds  # abandoned after one round
+    _no_process_left()
+
+
+def test_split_closure_stops_its_helper_when_this_process_fails(monkeypatch, helper_on):
+    parent = os.getpid()
+    calls = itertools.count()
+    reached = bootstrap._reached
+
+    def failing(r, planes, full):
+        if os.getpid() == parent and next(calls) == 40:
+            raise ZeroDivisionError
+        return reached(r, planes, full)
+
+    monkeypatch.setattr(bootstrap, "_reached", failing)
+    with pytest.raises(ZeroDivisionError):
+        closure(construct(18, 4)[0], 4)
+    _no_process_left()
+
+
+def test_split_round_exchanges_messages_larger_than_a_pipe_buffer(monkeypatch, helper_on):
+    # round 1 infects the odd-weight half of all 16 blocks of Q_20: each side sends
+    # eight 8 KiB deltas at once, more than a 64 KiB pipe buffer holds
+    sizes = []
+    send = _helper.Link.send
+
+    def recorded(link, deltas):
+        sizes.append(len(marshal.dumps(deltas)))
+        send(link, deltas)
+
+    monkeypatch.setattr(_helper.Link, "send", recorded)
+    assert closure_rounds(even_weight(20), 20) == (VertexSet.full(20), 1)
+    assert max(sizes) > 1 << 16
+    _no_process_left()
+
+
+def test_a_helper_out_of_memory_is_a_memory_error(monkeypatch, capsys, tmp_path, helper_on):
+    def fail():
+        raise MemoryError
+
+    monkeypatch.setattr(bootstrap, "_images", _in_helper(os.getpid(), fail))
+    with pytest.raises(MemoryError):
+        closure(construct(18, 4)[0], 4)
+    _no_process_left()
+    out = str(tmp_path / "q18.set")
+    assert main(["construct", "--d", "18", "--r", "4", "--out", out, "--verify"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    _no_process_left()
+
+
+def test_a_helper_death_names_its_exit_status(monkeypatch, capfd, helper_on):
+    def fail():
+        raise ValueError("helper failed")
+
+    monkeypatch.setattr(bootstrap, "_images", _in_helper(os.getpid(), fail))
+    with pytest.raises(RuntimeError, match="helper process exited with status 1$"):
+        closure(construct(18, 4)[0], 4)
+    assert "ValueError: helper failed" in capfd.readouterr().err
+    _no_process_left()
+
+    def killed():
+        os.kill(os.getpid(), 9)
+
+    monkeypatch.setattr(bootstrap, "_images", _in_helper(os.getpid(), killed))
+    with pytest.raises(RuntimeError, match="helper process was killed by signal 9$"):
+        closure(construct(18, 4)[0], 4)
+    _no_process_left()
+
+
+def test_a_refused_fork_runs_the_closure_in_one_process(monkeypatch, helper_on):
+    def refuse():
+        raise OSError("fork refused")
+
+    seed = construct(18, 4)[0]
+    monkeypatch.setattr(os, "fork", refuse)
+    assert closure_rounds(seed, 4) == (VertexSet.full(18), 66)
+    _no_process_left()
+
+
+def test_the_helper_flushes_no_inherited_buffer(run_fresh):
+    # stdout is a pipe, so "before" is still in this process's buffer at the fork.  The
+    # helper leaves through os._exit: it neither writes it again nor runs atexit handlers
+    done = run_fresh(
+        """
+        import atexit
+        import hqperc.bootstrap as bootstrap
+        from hqperc import closure, construct
+
+        bootstrap._use_helper = lambda nblocks: True
+        atexit.register(print, "at exit")
+        print("before")
+        assert closure(construct(18, 4)[0], 4).is_full()
+        print("after")
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert (done.stdout, done.stderr) == ("before\nafter\nat exit\n", "")
 
 
 def test_step_is_one_round_of_trace():

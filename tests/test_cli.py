@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import hqperc.bootstrap as bootstrap
 import hqperc.cli as cli
 from hqperc import (
     Automorphism,
@@ -294,34 +295,39 @@ def _q15_across_blocks():
     ],
     ids=["percolating", "not-percolating"],
 )
-def test_multi_block_closure_out_is_pinned(capsys, tmp_path, seed, r, stdout, digest):
-    # d = 18 is four blocks: the stdout and closure file bytes must not depend on the split
+def test_multi_block_closure_out_is_pinned(capsys, monkeypatch, tmp_path, seed, r, stdout,
+                                          digest):
+    # d = 18 is four blocks: the stdout and closure file bytes must depend neither on the
+    # split into blocks nor on whether a forked helper runs the blocks of odd weight
     path = tmp_path / "seed.set"
     path.write_text(format_vertex_set(seed()))
     out_path = tmp_path / "closure.set"
-    code, out, _ = run(
-        capsys, "closure", "--set", str(path), "--d", "18", "--r", str(r), "--out", str(out_path)
-    )
-    assert code == 0
-    assert out == stdout
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    for helper in (False, True):
+        monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: helper)
+        code, out, _ = run(capsys, "closure", "--set", str(path), "--d", "18", "--r", str(r),
+                           "--out", str(out_path))
+        assert code == 0
+        assert out == stdout
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, helper
 
 
-def test_multi_block_closure_trace_is_pinned(capsys, tmp_path):
+def test_multi_block_closure_trace_is_pinned(capsys, monkeypatch, tmp_path):
     # a d = 17 seed with members in both blocks that closes in seven rounds at r = 2.
-    # Its last state has zero bytes, so the trace keeps only some state bytes
+    # Its last state has zero bytes, so the trace keeps only some state bytes.  The
+    # bytes are the same whether or not a forked helper runs block 1
     path = tmp_path / "seed.set"
     seed = VertexSet.of(17, [0, 1 | 1 << 16, 0b110 | 1 << 16, 0b1000 | 1 << 16, 0b11000])
     path.write_text(format_vertex_set(seed))
     trace_path = tmp_path / "trace.json"
-    code, out, _ = run(
-        capsys, "closure", "--set", str(path), "--d", "17", "--r", "2", "--trace", str(trace_path)
-    )
-    assert code == 0
-    assert out == "seed cardinality: 5\nrounds: 7\nclosure cardinality: 64\npercolates: no\n"
-    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
-        "04cabc9e80b7a06867381f9fb5b8432377813fa320ca4b2d74737506a65d2ac7"
-    )
+    for helper in (False, True):
+        monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: helper)
+        code, out, _ = run(capsys, "closure", "--set", str(path), "--d", "17", "--r", "2",
+                           "--trace", str(trace_path))
+        assert code == 0
+        assert out == "seed cardinality: 5\nrounds: 7\nclosure cardinality: 64\npercolates: no\n"
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == (
+            "04cabc9e80b7a06867381f9fb5b8432377813fa320ca4b2d74737506a65d2ac7"
+        ), helper
 
 
 def _trace_cases():
@@ -657,9 +663,10 @@ def _modules_added_by_cli_import(run_fresh, *options):
 
 def test_cli_import_loads_no_heavy_stdlib_module(run_fresh):
     # every command pays for what `import hqperc.cli` loads: dataclasses (with
-    # inspect), logging and json cost about 20 ms there and serve only a few paths
+    # inspect), logging and json cost about 20 ms there and serve only a few paths.
+    # select serves only a closure whose rounds are split with a forked helper
     added = _modules_added_by_cli_import(run_fresh)
-    assert not added & {"dataclasses", "inspect", "logging", "json"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "logging", "json", "select"}, sorted(added)
 
 
 def test_cli_import_without_site_loads_no_resource_reader(run_fresh):

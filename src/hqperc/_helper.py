@@ -43,19 +43,27 @@ class Link:
         head = bytearray(8)
         body = None
         want = memoryview(head)
+        # poll, not select: select refuses descriptors from FD_SETSIZE (1024) up
+        poller = select.poll()
+        poller.register(self._rfd, select.POLLIN)
+        if self._out:
+            poller.register(self._wfd, select.POLLOUT)
         while want or self._out:
-            readable, writable, _ = select.select(
-                [self._rfd] if want else [], [self._wfd] if self._out else [], [])
-            if writable:
-                self._write()
-            if readable:
-                n = os.readv(self._rfd, [want])
+            for fd, _ in poller.poll():
+                if fd == self._wfd:
+                    self._write()
+                    if not self._out:
+                        poller.unregister(fd)
+                    continue
+                n = os.readv(fd, [want])
                 if not n:
                     self._lost()
                 want = want[n:]
                 if not want and body is None:
                     body = bytearray(int.from_bytes(head, "little"))
                     want = memoryview(body)
+                if not want:
+                    poller.unregister(fd)
         return marshal.loads(body)
 
     def _write(self) -> None:

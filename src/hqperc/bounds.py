@@ -81,15 +81,7 @@ class BoundReport(NamedTuple):
     gap: int
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "lower": self.lower,
-            "lower_note": LOWER_BOUND_NOTE,
-            "upper": self.upper,
-            "exact": self.exact,
-            "gap": self.gap,
-        }
+        return {**self._asdict(), "lower_note": LOWER_BOUND_NOTE}
 
 
 def bound_report(d: int, r: int) -> BoundReport:

@@ -101,12 +101,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     recipe = construct_recipe(args.d, args.r)
-    verified = False
-    if args.verify and args.d <= D_MAX:
-        if not percolates(VertexSet.of(args.d, construct_members(args.d, args.r)), args.r):
-            print("verification failed", file=sys.stderr)
-            return EXIT_NEGATIVE
-        verified = True
+    verified = args.verify and args.d <= D_MAX
+    if verified and not percolates(
+            VertexSet.of(args.d, construct_members(args.d, args.r)), args.r):
+        print("verification failed", file=sys.stderr)
+        return EXIT_NEGATIVE
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(construct_text(args.d, args.r))
     if args.recipe:
@@ -174,36 +173,22 @@ def _cmd_table(args) -> int:
     if args.dmax < args.r:
         print(f"--dmax must be at least {args.r} for r={args.r}", file=sys.stderr)
         return EXIT_USAGE
+    columns = ("d", "lower", "construction", "cap", "exact")
     rows = []
     for d in range(args.r, args.dmax + 1):
         report = bounds.bound_report(d, args.r)
-        rows.append(
-            {
-                "d": d,
-                "lower": report.lower,
-                "construction": report.upper,
-                # below r = 4 the construction is the exact minimum
-                "cap": bounds.upper_bound_m4(d) if args.r == 4 else report.upper,
-                "exact": report.gap == 0,
-            }
-        )
+        # below r = 4 the construction is the exact minimum
+        cap = bounds.upper_bound_m4(d) if args.r == 4 else report.upper
+        rows.append((d, report.lower, report.upper, cap, report.gap == 0))
     if args.format == "json":
-        _write_json(sys.stdout, {"r": args.r, "rows": rows})
-    elif args.format == "csv":
-        print("d,lower,construction,cap,exact")
-        for row in rows:
-            print(
-                f"{row['d']},{row['lower']},{row['construction']},"
-                f"{row['cap']},{'yes' if row['exact'] else 'no'}"
-            )
-    else:
-        print(f"{'d':>4} {'lower':>10} {'construction':>13} {'cap':>10} {'exact':>6}")
-        for row in rows:
-            flag = "yes" if row["exact"] else "no"
-            print(
-                f"{row['d']:>4} {row['lower']:>10} {row['construction']:>13}"
-                f" {row['cap']:>10} {flag:>6}"
-            )
+        _write_json(sys.stdout, {"r": args.r, "rows": [dict(zip(columns, row)) for row in rows]})
+        return EXIT_OK
+    text = args.format == "text"
+    sep, widths = (" ", (4, 10, 13, 10, 6)) if text else (",", (0,) * len(columns))
+    line = sep.join(f"{{:>{w}}}" for w in widths)
+    for row in [columns, *((*row[:-1], "yes" if row[-1] else "no") for row in rows)]:
+        print(line.format(*row))
+    if text:
         print(f"# lower bound column is a {bounds.LOWER_BOUND_NOTE}")
     return EXIT_OK
 

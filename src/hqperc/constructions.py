@@ -104,7 +104,7 @@ class Leaf(NamedTuple):
     size: int
 
     def to_json(self) -> dict:
-        return {"kind": "leaf", "name": self.name, "size": self.size}
+        return {"kind": "leaf", **self._asdict()}
 
 
 class Product(NamedTuple):
@@ -117,14 +117,8 @@ class Product(NamedTuple):
     size: int
 
     def to_json(self) -> dict:
-        return {
-            "kind": "product",
-            "k": self.k,
-            "labeling": self.labeling,
-            "counts": list(self.counts),
-            "size": self.size,
-            "children": [child.to_json() for child in self.children],
-        }
+        return {**self._asdict(), "kind": "product", "counts": list(self.counts),
+                "children": [child.to_json() for child in self.children]}
 
 
 Recipe = Union[Leaf, Product]

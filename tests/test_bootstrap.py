@@ -309,6 +309,24 @@ def test_a_refused_fork_runs_the_closure_in_one_process(monkeypatch, helper_on):
     _no_process_left()
 
 
+def test_a_split_closure_works_with_descriptors_past_1024(helper_on):
+    # select.select refuses descriptors from FD_SETSIZE (1024) up; the helper's
+    # pipes are opened above every descriptor held here
+    import resource
+
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("needs a soft RLIMIT_NOFILE of at least 1100")
+    held = []
+    try:
+        while not held or held[-1] < 1024:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        assert closure_rounds(construct(18, 4)[0], 4) == (VertexSet.full(18), 66)
+    finally:
+        for fd in held:
+            os.close(fd)
+    _no_process_left()
+
+
 def test_the_helper_flushes_no_inherited_buffer(run_fresh):
     # stdout is a pipe, so "before" is still in this process's buffer at the fork.  The
     # helper leaves through os._exit: it neither writes it again nor runs atexit handlers
@@ -332,6 +350,18 @@ def test_the_helper_flushes_no_inherited_buffer(run_fresh):
 def test_step_is_one_round_of_trace():
     seed = even_weight(3)
     assert step(seed, 3) == trace(seed, 3).rounds[1]
+
+
+def test_step_never_forks(monkeypatch, helper_on):
+    seed = construct(17, 4)[0]
+    expected = trace(seed, 4).rounds[1]  # a split trace
+
+    def refuse():
+        raise AssertionError("step forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert step(seed, 4) == expected
+    _no_process_left()
 
 
 def test_threshold_validation():

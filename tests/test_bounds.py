@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import ceil, comb
 
@@ -144,3 +146,15 @@ def test_report_json_carries_ceiling_note():
     payload = bound_report(5, 4).to_json()
     assert payload["lower_note"] == "ceiled rational bound"
     assert payload["gap"] == 1 and payload["exact"] is None
+
+
+def test_report_json_is_pinned():
+    # every report the table reaches, as the CLI's key-sorted dump
+    digest = hashlib.sha256()
+    for r in range(1, 5):
+        for d in range(r, 201):
+            payload = bound_report(d, r).to_json()
+            digest.update((json.dumps(payload, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "f33d2bf6b4933fdc6b9a62afecf785af81f23116f927927a9356259bcc898f34"
+    )

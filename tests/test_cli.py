@@ -520,6 +520,19 @@ def test_table_csv_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_table_text_bytes_are_pinned(capsys):
+    digests = {
+        1: "eccbf554dca31fb23caa26fc682075839f2f816c7273cd44f5c94cc85d4c5efc",
+        2: "c4cab9344411f2f4f9a832ef684e29857de8f2d61d20880ce0aee772d807e2b6",
+        3: "c313a5632b010b6cba7d26af8ab5458db9b03849f8badd6db22d030a236eae6e",
+        4: "d5322ce5d2bdb2e53d4868ceb031100d3a01599c24195537d6d55afec9be3b46",
+    }
+    for r, digest in digests.items():
+        code, out, _ = run(capsys, "table", "--dmax", "200", "--r", str(r), "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_text_is_deterministic(capsys):
     code, first, _ = run(capsys, "table", "--dmax", "20", "--r", "4")
     code, second, _ = run(capsys, "table", "--dmax", "20", "--r", "4")
@@ -667,6 +680,44 @@ def test_cli_import_loads_no_heavy_stdlib_module(run_fresh):
     # select serves only a closure whose rounds are split with a forked helper
     added = _modules_added_by_cli_import(run_fresh)
     assert not added & {"dataclasses", "inspect", "logging", "json", "select"}, sorted(added)
+
+
+def test_commands_below_two_blocks_load_no_helper(tmp_path, run_fresh):
+    # up to d = 16 the state is one block, so no closure splits its rounds and no
+    # command compiles the helper's process code or imports select; d = 17 does
+    done = run_fresh(
+        f"""
+        import os, sys
+        import hqperc.bootstrap as bootstrap
+        from hqperc import catalog_labeling, catalog_seed, format_labeling, format_vertex_set
+        from hqperc.cli import main
+
+        os.chdir({str(tmp_path)!r})
+        with open("q14.set", "w") as fh:
+            fh.write(format_vertex_set(catalog_seed(14)))
+        labeling = catalog_labeling(12)
+        with open("l12.lab", "w") as fh:
+            fh.write(format_labeling(labeling))
+        codes = [
+            main(["closure", "--set", "q14.set", "--d", "14", "--r", "4", "--out", "c.set",
+                  "--trace", "t.json"]),
+            main(["construct", "--d", "16", "--r", "4", "--out", "q16.set", "--verify"]),
+            main(["search", "--d", "5", "--r", "4", "--size", "5"]),
+            main(["meta-verify", "--labeling", "l12.lab", "--k", "12", "--r", str(labeling.r)]),
+            main(["table", "--dmax", "200", "--r", "4"]),
+        ]
+        loaded = lambda: [m for m in ("hqperc._helper", "select") if m in sys.modules]
+        print(codes, loaded(), file=sys.stderr)
+        bootstrap._use_helper = lambda nblocks: True
+        code = main(["construct", "--d", "17", "--r", "4", "--out", "q17.set", "--verify"])
+        print(code, loaded(), file=sys.stderr)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "[0, 0, 1, 0, 0] []",
+        "0 ['hqperc._helper', 'select']",
+    ]
 
 
 def test_cli_import_without_site_loads_no_resource_reader(run_fresh):

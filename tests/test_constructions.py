@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -297,6 +298,18 @@ def test_members_output_is_pinned():
             digest.update(repr((d, r, construct_members(d, r))).encode())
     assert digest.hexdigest() == (
         "6e6b6b97c4cb3aa6a86a56835ca99ced211eb8e39f8bf8187ece4fc5886e7579"
+    )
+
+
+def test_recipe_json_is_pinned():
+    # the recipe JSON of every (d, r) the size cap reaches, as the CLI's key-sorted dump
+    digest = hashlib.sha256()
+    for r in range(1, 5):
+        for d in range(r, 201):
+            payload = construct_recipe(d, r).to_json()
+            digest.update((json.dumps(payload, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "b64ebf0b135778927a47a63b17479c5acbc7469ce2400bdd6a5a8ffa54374d89"
     )
 
 

@@ -14,10 +14,20 @@ added by a carry-save adder (Harley-Seal; Mula, Kurz & Lemire, Comput. J.
 its planes from round to round, at most ceil(log2(r+1)) * 2^d bits in all,
 so a round adds only the last round's new infections: the images of a
 block's own delta (O(b * 2^b / w) word operations) and the deltas of its
-neighbour blocks, which cost no shift.  ``_rounds`` runs that round to the
-fixed point for closure, trace and step.  The meta process and the per-set
-search call the dense round ``_round_bits``, which counts from fresh
-planes with the same ``_at_least``.
+neighbour blocks, which cost no shift.  Product seeds give many blocks the
+same delta in the same round; equal deltas become one object, and the
+images of a delta held by several blocks are shifted and summed once.
+``_rounds`` runs that round to the fixed point for closure, trace and step.
+The meta process and the per-set search call the dense round
+``_round_bits``, which counts from fresh planes with the same ``_at_least``.
+
+A closure of many blocks chooses its block layout once the infected set
+holds four times the seed's vertices: the coordinates along which the
+fewest infected pairs lie go on top, when they carry at most a third of
+the current top's pairs, and the rounds go on from the swapped blocks.  So
+a seed written in other coordinates than the assembler's closes in about
+the assembler's block visits.  ``closure_rounds`` swaps the closure back;
+trace and step keep the seed's layout.
 
 A closure or trace of more than one block, in a single-threaded process
 with a second usable CPU, splits every round between this process and one
@@ -76,6 +86,11 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 # A state of 2^d bits is simulated as 2^(d - b) blocks of 2^b bits, b = min(d, _BLOCK_BITS).
 _BLOCK_BITS = 16
 
+# A closure of fewer blocks keeps the seed's layout.  Up to 16 blocks nearly every block is
+# dirty in every round whatever the layout (relabeled d = 18..20 seeds: block visits -8 to
+# +1 %), so a second helper for a new layout never paid (assembled d = 18, 19: +3, +7 ms).
+_LAYOUT_BLOCKS = 32
+
 # A lane batch decides at most _LANES candidate sets: one bit each in every vertex's int.
 # At d = 5, r = 4, size 13, 2^17 lanes (16 KiB ints) took 2.5 s and 19 MiB, 2^21 3.8 s and 80 MiB.
 _LANES = 1 << 17
@@ -111,17 +126,24 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
 _plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
 
 
-def _add(planes: list[int], images) -> None:
-    """Add the images into the bit planes of a saturating binary counter, in place.
+def _add(planes: list[int], images, summed: list[int] | None = None) -> None:
+    """Add the images, and the counts in the summed planes, into the bit planes of
+    a saturating binary counter, in place.
 
     A carry-save adder (Harley-Seal): at each plane, pairs of inputs go
     through one full adder with the plane, and the carries are the next
-    plane's inputs.  Lanes that carry out of the top plane are clamped to
-    all-ones, which the comparison with r <= 2^len(planes) - 1 reads as >= r.
+    plane's inputs; summed plane j is one more input at plane j.  Lanes that
+    carry out of the top plane are clamped to all-ones, which the comparison
+    with r <= 2^len(planes) - 1 reads as >= r.  Clamped summed lanes stay
+    clamped, so every lane holds min(count, 2^len(planes) - 1).
     """
     ins = [x for x in images if x]
     for j, acc in enumerate(planes):
+        if summed and summed[j]:
+            ins.append(summed[j])
         if not ins:
+            if summed:
+                continue
             return
         if not acc:
             acc = ins.pop()
@@ -219,9 +241,10 @@ def _use_helper(nblocks: int) -> bool:
         return threading.active_count() == 1
 
 
-def _rounds(blocks: list[int], b: int, r: int, split: bool) -> Iterator[list[int]]:
-    """Update the blocks in place and yield them after each strictly growing
-    round, up to the fixed point.
+def _rounds(blocks: list[int], b: int, r: int,
+            split: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """Update the blocks in place and yield them, with the round's new deltas,
+    after each strictly growing round, up to the fixed point.
 
     With split, the blocks of odd weight go to a helper forked for the run
     (see ``_side_rounds``), and this process ORs the helper's deltas into
@@ -240,20 +263,38 @@ def _rounds(blocks: list[int], b: int, r: int, split: bool) -> Iterator[list[int
         link = _helper.fork(helper)
     full = (1 << (1 << b)) - 1
     try:
-        for other in _side_rounds(blocks, b, r, link):
+        for own, other in _side_rounds(blocks, b, r, link):
             for i, x in other.items():
                 y = blocks[i] | x
                 blocks[i] = full if y == full else y
-            yield blocks
+            yield blocks, [*own.values(), *other.values()]
     finally:
         if link is not None:
             link.close()
 
 
+def _intern(deltas: dict[int, int]) -> set[int]:
+    """Make equal deltas one object, in place, and return the ids of those that
+    more than one block holds.  Deltas are grouped by length and low lanes,
+    which cost no pass over them, and an equality test stops at the first
+    digit that differs."""
+    firsts, shared = {}, set()
+    for i, x in deltas.items():
+        same = firsts.setdefault((x.bit_length(), x & 0xFFFF_FFFF_FFFF_FFFF), [])
+        for y in same:
+            if y == x:
+                deltas[i] = y
+                shared.add(id(y))
+                break
+        else:
+            same.append(x)
+    return shared
+
+
 def _side_rounds(blocks: list[int], b: int, r: int,
-                 link: Link | None) -> Iterator[dict[int, int]]:
-    """Run one side's blocks to the fixed point, in place, and yield the other
-    side's new deltas after each strictly growing round.
+                 link: Link | None) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """Run one side's blocks to the fixed point, in place, and yield this side's
+    and the other side's new deltas after each strictly growing round.
 
     Each block that is not full keeps its vertices' infected-neighbour counts
     in counter planes from one round to the next.  A round first adds the
@@ -265,6 +306,11 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     Only the neighbourhood of the deltas is visited, a block dirty only
     through a neighbour shifts nothing, and a full block drops its planes and
     shares one int with every other full block.
+
+    Product seeds give many blocks the same delta in the same round.  Equal
+    deltas are made one object, which marshal also sends once, and the
+    images of a delta held by several blocks are shifted and summed once,
+    into planes that each of those blocks adds to its counts.
 
     Without a link one side owns every block, and the other side sends
     nothing.  With a link this process owns the blocks of even weight and the
@@ -279,17 +325,24 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     nplanes = _plane_count(r)
     counts = {}
 
-    def count(shifted: dict[int, int], border: dict[int, int]) -> set[int]:
+    def count(shifted: dict[int, int], border: dict[int, int], shared=()) -> set[int]:
         """Add the images of the shifted deltas and the deltas of the border
         blocks to the counts of the blocks they reach, and return those of
-        the reached blocks that are not full."""
+        the reached blocks that are not full.  The images of a shifted delta
+        whose id is in shared are summed once for all the blocks holding it."""
         dirty = {i for i in {i ^ f for i in border for f in flips}.union(shifted)
                  if blocks[i] != full}
+        sums = {}
         for i in dirty:
             images = [border[i ^ f] for f in flips if i ^ f in border]
+            summed = None
             if i in shifted:
-                images += _images(shifted[i], masks)
-            _add(counts.setdefault(i, [0] * nplanes), images)
+                x = shifted[i]
+                if id(x) not in shared:
+                    images += _images(x, masks)
+                elif (summed := sums.get(id(x))) is None:
+                    summed = sums[id(x)] = _counts(r, _images(x, masks))
+            _add(counts.setdefault(i, [0] * nplanes), images, summed)
         return dirty
 
     # round 1 counts every block as its own delta; the other side's need no message
@@ -297,11 +350,12 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     for i, x in enumerate(blocks):
         if x:
             (other if link and i.bit_count() & 1 != link.side else deltas)[i] = x
+    shared = _intern(deltas)
     if link is not None:
-        shifted = count(deltas, {})
+        shifted = count(deltas, {}, shared)
     while True:
         if link is None:
-            dirty = count(deltas, deltas)
+            dirty = count(deltas, deltas, shared)
         else:
             dirty = shifted | count({}, other)
         deltas = {}
@@ -314,28 +368,99 @@ def _side_rounds(blocks: list[int], b: int, r: int,
                     y = full  # the one shared int
                     del counts[i]
                 blocks[i] = y
+        shared = _intern(deltas)
         if link is not None:
             link.send(deltas)
-            shifted = count(deltas, {})
+            shifted = count(deltas, {}, shared)
             other = link.receive()
         if not deltas and not other:
             return
-        yield other
+        yield deltas, other
 
 
-def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int]:
-    """The closure's blocks, their width b, and the number of strictly growing rounds."""
+def _coordinate_swaps(blocks: list[int], b: int) -> list[tuple[int, int]]:
+    """Pairs (i, j) of an in-block and a top coordinate whose swaps put on top
+    the coordinates along which the blocks hold the fewest infected pairs.
+
+    An infected pair along in-block coordinate i is a lane of
+    (x & m_i) & (x >> 2^i), and along top coordinate j a lane of the AND of
+    blocks B and B ^ 2^j.  The top coordinates are the d - b with the fewest
+    pairs, ties to the lower index.  No pairs come back unless those carry at
+    most a third of the current top coordinates' pairs: most rounds of a
+    closure cost a block visit per dirty block, and fewer pairs across the
+    top coordinates make fewer blocks dirty, but a fresh start and a new
+    helper cost about as much as a mild gain.
+    """
+    top = len(blocks).bit_length() - 1
+    masks, _ = _masks_for(b)
+    pairs = [sum((x & m & x >> (1 << i)).bit_count() for x in blocks) for i, m in enumerate(masks)]
+    for j in range(top):
+        f = 1 << j
+        pairs.append(sum((x & blocks[i | f]).bit_count()
+                         for i, x in enumerate(blocks) if not i & f))
+    chosen = sorted(range(b + top), key=pairs.__getitem__)[:top]
+    now = sum(pairs[b:])
+    if not now or 3 * sum(pairs[c] for c in chosen) > now:
+        return []
+    return list(zip(sorted(c for c in chosen if c < b),
+                    (c for c in range(b, b + top) if c not in chosen)))
+
+
+def _swap(blocks: list[int], b: int, swaps: list[tuple[int, int]]) -> None:
+    """Exchange in-block coordinate i with top coordinate j for each pair, in place.
+
+    Vertices of block B (bit j of the vertex 0) with bit i set trade places
+    with those of block B ^ 2^(j - b) with bit i clear: one half-lane each
+    way.  The pairs are disjoint, so swapping again restores the blocks.
+    """
+    if not swaps:
+        return
+    masks, full = _masks_for(b)
+    for i, j in swaps:
+        m, s, f = masks[i], 1 << i, 1 << (j - b)
+        for lo, x in enumerate(blocks):
+            y = blocks[lo | f]
+            if not lo & f and x | y and not x == y == full:
+                blocks[lo] = x & m | (y & m) << s
+                blocks[lo | f] = x >> s & m | y & m << s
+
+
+def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int, list[tuple[int, int]]]:
+    """The closure's blocks, their width b, the number of strictly growing
+    rounds, and the coordinate swaps of the blocks' layout (see ``_swap``).
+
+    With at least _LAYOUT_BLOCKS blocks, once the infected set holds four
+    times the seed's vertices, the blocks are laid out along
+    ``_coordinate_swaps`` and the rounds go on from there, with a new helper:
+    the same states in other coordinates.  Relabeled Q_22 seeds then close
+    in 3,421-3,667 block visits against 4,378-5,250, and the assembled seed
+    in 3,254.
+    """
     check_threshold(r, a0.d)
     blocks, b = _split(a0.bits, a0.d)
-    rounds = 0
-    for rounds, blocks in enumerate(_rounds(blocks, b, r, _use_helper(len(blocks))), 1):
+    split = _use_helper(len(blocks))
+    states = _rounds(blocks, b, r, split)
+    rounds, swaps = 0, []
+    if len(blocks) >= _LAYOUT_BLOCKS:
+        grow = 3 * len(a0)  # the new vertices still to come before the layout is chosen
+        for rounds, (blocks, new) in enumerate(states, 1):
+            grow -= sum(map(int.bit_count, new))
+            if grow <= 0:
+                swaps = _coordinate_swaps(blocks, b)
+                break
+    if swaps:
+        states.close()  # reaps the helper
+        _swap(blocks, b, swaps)
+        states = _rounds(blocks, b, r, split)
+    for rounds, (blocks, _) in enumerate(states, rounds + 1):
         pass
-    return blocks, b, rounds
+    return blocks, b, rounds, swaps
 
 
 def closure_rounds(a0: VertexSet, r: int) -> tuple[VertexSet, int]:
     """The closure plus the number of strictly growing rounds it took."""
-    blocks, _, rounds = _closed_blocks(a0, r)
+    blocks, b, rounds, swaps = _closed_blocks(a0, r)
+    _swap(blocks, b, swaps)
     return VertexSet(a0.d, _join(blocks)), rounds
 
 
@@ -346,14 +471,14 @@ def closure(a0: VertexSet, r: int) -> VertexSet:
 
 def percolates(a0: VertexSet, r: int) -> bool:
     """True iff the closure of a0 is all of Q_d, read from its blocks without joining them."""
-    blocks, b, _ = _closed_blocks(a0, r)
+    blocks, b, _, _ = _closed_blocks(a0, r)
     return blocks.count((1 << (1 << b)) - 1) == len(blocks)
 
 
 def step(a: VertexSet, r: int) -> VertexSet:
     """One synchronous round of the r-neighbour update."""
     check_threshold(r, a.d)
-    for blocks in _rounds(*_split(a.bits, a.d), r, False):
+    for blocks, _ in _rounds(*_split(a.bits, a.d), r, False):
         return VertexSet(a.d, _join(blocks))
     return a
 
@@ -426,7 +551,7 @@ def trace(a0: VertexSet, r: int) -> InfectionTrace:
     d = a0.d
     blocks, b = _split(a0.bits, d)
     states = _rounds(blocks, b, r, _use_helper(len(blocks)))
-    rounds = (a0, *(VertexSet(d, _join(state)) for state in states))
+    rounds = (a0, *(VertexSet(d, _join(state)) for state, _ in states))
     return InfectionTrace(d, r, rounds, rounds[-1].is_full())
 
 

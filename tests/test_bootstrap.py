@@ -139,7 +139,7 @@ def _block_rounds(bits, d, r, b, split):
     low = (1 << (1 << b)) - 1
     blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
     return [sum(x << (i << b) for i, x in enumerate(state))
-            for state in bootstrap._rounds(blocks, b, r, split)]
+            for state, _ in bootstrap._rounds(blocks, b, r, split)]
 
 
 def _relabeled(seed, rng):
@@ -169,6 +169,45 @@ def test_block_round_matches_the_single_block_round():
                     for split in (False, True):
                         assert _block_rounds(bits, d, r, b, split) == expected, (
                             d, r, b, split, bits)
+
+
+def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
+    # product seeds give many blocks the same delta in the same round, and a seed of
+    # identical blocks gives all of them one delta each round: each distinct delta of a
+    # round is shifted at most once, and the rounds stay those of the dense round, in one
+    # process and split.  Translated copies of one block start as deltas of equal
+    # popcount but different values, which must not share their images
+    block = catalog_seed(8)
+    shift = [Automorphism(tuple(range(8)), t) for t in range(64)]
+    copies = [apply_automorphism(a, block).bits for a in shift]
+    seeds = [(d, construct(d, 4)[0].bits, b, True)
+             for d, b in ((14, 6), (15, 7), (16, 8), (16, 9))]
+    seeds += [(14, sum(block.bits << (i << 8) for i in range(64)), 8, True),
+              (14, sum(x << (i << 8) for i, x in enumerate(copies)), 8, False)]
+    shifted = []
+    images = bootstrap._images
+
+    def spy(bits, masks):
+        shifted.append(bits)
+        return images(bits, masks)
+
+    monkeypatch.setattr(bootstrap, "_images", spy)
+    for d, bits, b, repeats in seeds:
+        for r in (3, 4):
+            expected = _dense_rounds(bits, d, r)
+            assert _block_rounds(bits, d, r, b, True) == expected, (d, b, r)
+            low = (1 << (1 << b)) - 1
+            blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
+            deltas = [[x for x in blocks if x]]  # round 1 counts every block as its delta
+            states = []
+            shifted.clear()
+            for state, new in bootstrap._rounds(blocks, b, r, False):
+                states.append(sum(x << (i << b) for i, x in enumerate(state)))
+                deltas.append(new)
+            assert states == expected, (d, b, r)
+            assert len(shifted) <= sum(len(set(new)) for new in deltas), (d, b, r)
+            if repeats:
+                assert len(shifted) < sum(map(len, deltas)), (d, b, r)
 
 
 @pytest.mark.longrun
@@ -220,6 +259,70 @@ def test_split_closures_match_the_one_process_closures(d, monkeypatch):
         _no_process_left()
 
 
+def _layouts(monkeypatch):
+    # spies on the layouts a closure chooses and on the swaps it applies to its blocks
+    chosen, swapped = [], []
+    choose, swap = bootstrap._coordinate_swaps, bootstrap._swap
+
+    def chose(blocks, b):
+        chosen.append(choose(blocks, b))
+        return chosen[-1]
+
+    def swaps(blocks, b, pairs):
+        if pairs:
+            swapped.append(pairs)
+        swap(blocks, b, pairs)
+
+    monkeypatch.setattr(bootstrap, "_coordinate_swaps", chose)
+    monkeypatch.setattr(bootstrap, "_swap", swaps)
+    return chosen, swapped
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_relaid_closures_match_the_trace(split, monkeypatch):
+    # a closure of relabeled assembled seeds lays its blocks out again once the seed has
+    # grown four times over, here from two blocks up: closure_rounds and percolates must
+    # still give trace's last state and round count, full or partial, in one process and
+    # split.  trace keeps the seed's layout, and a closure that never grows four times over
+    # never chooses one
+    monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: split)
+    monkeypatch.setattr(bootstrap, "_LAYOUT_BLOCKS", 2)
+    chosen, swapped = _layouts(monkeypatch)
+    relaid = set()
+    for d in range(17, 21):
+        seed = VertexSet(d, _relabeled(construct(d, 4)[0], random.Random(d)))
+        for a0 in (seed, seed.discard(max(seed))):
+            for r in (3, 4, 5):
+                history = trace(a0, r)
+                assert not chosen
+                expected = history.rounds[-1], len(history.rounds) - 1
+                assert closure_rounds(a0, r) == expected, (d, r)
+                assert percolates(a0, r) == history.percolated, (d, r)
+                grown = len(history.rounds[-1]) >= 4 * len(a0)
+                assert len(chosen) == (2 if grown else 0), (d, r)
+                # laid out by closure_rounds and percolates, and swapped back by closure_rounds
+                assert swapped == [chosen[0]] * 3 if any(chosen) else not swapped, (d, r)
+                if swapped:
+                    relaid.add(history.percolated)
+                chosen.clear()
+                swapped.clear()
+                _no_process_left()
+    assert relaid == {True, False}  # full and partial closures were laid out again
+
+
+def test_only_closures_of_many_blocks_are_laid_out_again(monkeypatch):
+    # the relabeled Q_20 seed (16 blocks) keeps its layout without a look at it, and the
+    # relabeled Q_21 seed (32 blocks) closes in a new one to trace's state and round count
+    chosen, swapped = _layouts(monkeypatch)
+    for d in (20, 21):
+        seed = VertexSet(d, _relabeled(construct(d, 4)[0], random.Random(1)))
+        a0 = seed.discard(max(seed))
+        history = trace(a0, 4)
+        assert closure_rounds(a0, 4) == (history.rounds[-1], len(history.rounds) - 1)
+        assert len(chosen) == len(swapped) // 2 == (d == 21), d
+    _no_process_left()
+
+
 def test_split_closures_leave_no_process(helper_on):
     seed = construct(18, 4)[0]
     assert closure(seed, 4).is_full()
@@ -251,8 +354,10 @@ def test_split_closure_stops_its_helper_when_this_process_fails(monkeypatch, hel
 
 
 def test_split_round_exchanges_messages_larger_than_a_pipe_buffer(monkeypatch, helper_on):
-    # round 1 infects the odd-weight half of all 16 blocks of Q_20: each side sends
-    # eight 8 KiB deltas at once, more than a 64 KiB pipe buffer holds
+    # round 1 infects most of the odd-weight half of all 16 blocks of Q_20: each side sends
+    # eight 8 KiB deltas at once, more than a 64 KiB pipe buffer holds.  Each block misses
+    # an even vertex at its own place, so the eight deltas differ and none is sent as a
+    # back-reference to an equal one
     sizes = []
     send = _helper.Link.send
 
@@ -261,7 +366,9 @@ def test_split_round_exchanges_messages_larger_than_a_pipe_buffer(monkeypatch, h
         send(link, deltas)
 
     monkeypatch.setattr(_helper.Link, "send", recorded)
-    assert closure_rounds(even_weight(20), 20) == (VertexSet.full(20), 1)
+    seed = even_weight(20) - VertexSet.of(20, [i << 16 | i for i in range(16)])
+    (closed,) = _dense_rounds(seed.bits, 20, 20)
+    assert closure_rounds(seed, 20) == (VertexSet(20, closed), 1)
     assert max(sizes) > 1 << 16
     _no_process_left()
 
@@ -467,6 +574,14 @@ def test_counter_against_a_popcount_oracle():
             held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
             assert held == [min(count, top) for count in counts], (r, n, cuts)
             assert bootstrap._reached(r, planes, full) == want, (r, n, cuts)
+            # counts summed in fresh planes enter as one more input per plane, into
+            # planes that may already be at or near saturation
+            lo, hi = sorted(rng.choices(range(n + 1), k=2))
+            planes = bootstrap._counts(r, images[:lo])
+            bootstrap._add(planes, images[hi:], bootstrap._counts(r, images[lo:hi]))
+            held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
+            assert held == [min(count, top) for count in counts], (r, n, lo, hi)
+            assert bootstrap._reached(r, planes, full) == want, (r, n, lo, hi)
 
 
 def test_search_no_triple_percolates_q3():

@@ -8,18 +8,20 @@ The production engine is bit parallel.  The state is cut into 2^(d-b)
 blocks of 2^b bits, b = min(d, 16), indexed by the top d - b coordinates.
 In a block the neighbour image along coordinate i swaps two half-lanes;
 along a top coordinate it is the neighbouring block.  Neighbour counts
-accumulate in ceil(log2(r+1)) bit planes of a saturating binary counter,
+accumulate in p = ceil(log2 r) bit planes of a wrapping binary counter,
 added by a carry-save adder (Harley-Seal; Mula, Kurz & Lemire, Comput. J.
-2018) and compared with r bit-sliced.  Each block that is not full keeps
-its planes from round to round, at most ceil(log2(r+1)) * 2^d bits in all,
-so a round adds only the last round's new infections: the images of a
-block's own delta (O(b * 2^b / w) word operations) and the deltas of its
-neighbour blocks, which cost no shift.  Product seeds give many blocks the
-same delta in the same round; equal deltas become one object, and the
-images of a delta held by several blocks are shifted and summed once.
-``_rounds`` runs that round to the fixed point for closure, trace and step.
-The meta process and the per-set search call the dense round
-``_round_bits``, which counts from fresh planes with the same ``_at_least``.
+2018).  The planes start at 2^p - r in every lane, so a lane carries out of
+the top plane exactly when its count reaches r: the carry-out is the
+threshold, with no comparison.  Each block that is not full keeps its
+planes from round to round, at most ceil(log2 r) * 2^d bits in all, so a
+round adds only the last round's new infections: the images of a block's
+own delta (O(b * 2^b / w) word operations) and the deltas of its neighbour
+blocks, which cost no shift.  Product seeds give many blocks the same delta
+in the same round; equal deltas become one object, and the images of a
+delta held by several blocks are shifted and summed once.  ``_rounds`` runs
+that round to the fixed point for closure, trace and step.  The meta
+process and the per-set search call the dense round ``_round_bits``, which
+counts from fresh start planes with the same adder.
 
 A closure of many blocks chooses its block layout once the infected set
 holds four times the seed's vertices: the coordinates along which the
@@ -40,8 +42,8 @@ By Aut(Q_d) symmetry the search scans, in one process, only the sets that
 can be the first witness, in lexicographic order.  On small cubes it
 decides them in lane batches (bit-slicing across instances, after Biham,
 FSE 1997): vertex v's state is one int whose bit c records v in the c-th
-set of the batch, and one ``_at_least`` per vertex updates every set at
-once.  Larger cubes, whose pools are long, take the per-set ``_scan``.
+set of the batch, and one carry-out of the adder per vertex updates every
+set at once.  Larger cubes, whose pools are long, take the per-set ``_scan``.
 A naive per-vertex rescan engine is kept as an independent reference; the
 two must agree on every input.
 """
@@ -123,19 +125,16 @@ def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << n) - 1
 
 
-_plane_count = int.bit_length  # counter planes holding 0..r: ceil(log2(r + 1))
-
-
-def _add(planes: list[int], images, summed: list[int] | None = None) -> None:
+def _add(planes: list[int], images, summed: list[int] | None = None) -> int:
     """Add the images, and the counts in the summed planes, into the bit planes of
-    a saturating binary counter, in place.
+    a wrapping binary counter, in place, and return the lanes that carry out of
+    the top plane.
 
     A carry-save adder (Harley-Seal): at each plane, pairs of inputs go
     through one full adder with the plane, and the carries are the next
-    plane's inputs; summed plane j is one more input at plane j.  Lanes that
-    carry out of the top plane are clamped to all-ones, which the comparison
-    with r <= 2^len(planes) - 1 reads as >= r.  Clamped summed lanes stay
-    clamped, so every lane holds min(count, 2^len(planes) - 1).
+    plane's inputs; summed plane j is one more input at plane j.  A lane
+    carries out once its count passes 2^len(planes) - 1, and the planes then
+    hold the count modulo 2^len(planes).
     """
     ins = [x for x in images if x]
     for j, acc in enumerate(planes):
@@ -144,7 +143,7 @@ def _add(planes: list[int], images, summed: list[int] | None = None) -> None:
         if not ins:
             if summed:
                 continue
-            return
+            return 0
         if not acc:
             acc = ins.pop()
         carries = []
@@ -161,13 +160,28 @@ def _add(planes: list[int], images, summed: list[int] | None = None) -> None:
             acc ^= ins[0]
         planes[j] = acc
         ins = carries
-    if ins:
-        over = functools.reduce(int.__or__, ins)
-        planes[:] = [p | over for p in planes]
+    return functools.reduce(int.__or__, ins) if ins else 0
+
+
+def _start(r: int, full: int) -> list[int]:
+    """Counter planes that carry out at the r-th count: (r - 1).bit_length() planes,
+    p, holding 2^p - r in every lane."""
+    p = (r - 1).bit_length()
+    return [full if ((1 << p) - r) >> j & 1 else 0 for j in range(p)]
+
+
+def _counts(r: int, images) -> list[int]:
+    """The images added up in fresh saturating counter planes that hold 0..r:
+    r.bit_length() planes, a lane that carries out being clamped to all-ones,
+    so every lane holds min(count, 2^planes - 1)."""
+    planes = [0] * r.bit_length()
+    if over := _add(planes, images):
+        planes = [p | over for p in planes]
+    return planes
 
 
 def _reached(r: int, planes: list[int], full: int) -> int:
-    """The lanes whose count in the planes is at least r: a bit-sliced comparison."""
+    """The lanes whose count in the saturating planes is at least r: a bit-sliced comparison."""
     ge = 0
     eq = full
     for j in reversed(range(len(planes))):
@@ -178,26 +192,16 @@ def _reached(r: int, planes: list[int], full: int) -> int:
     return ge | eq
 
 
-def _counts(r: int, images) -> list[int]:
-    """The images added up in fresh counter planes wide enough to compare with r."""
-    planes = [0] * _plane_count(r)
-    _add(planes, images)
-    return planes
-
-
-def _at_least(r: int, images, full: int) -> int:
-    """The lanes set in at least r of the images."""
-    return _reached(r, _counts(r, images), full)
-
-
 def _images(bits: int, masks) -> list[int]:
     """The neighbour images of a state along each of its coordinates: one half-lane swap each."""
     return [((bits & m) << (1 << i)) | ((bits >> (1 << i)) & m) for i, m in enumerate(masks)]
 
 
-def _round_bits(bits: int, r: int, masks, full: int) -> int:
-    """One synchronous update of a raw state integer, masks being _masks_for its dimension."""
-    return bits | _at_least(r, _images(bits, masks), full)
+def _round_bits(bits: int, start: list[int], masks) -> int:
+    """One synchronous update of a raw state integer, masks being _masks_for its
+    dimension and start the _start planes of the threshold: the lanes that
+    carry out join the state."""
+    return bits | _add([*start], _images(bits, masks))
 
 
 def _split(bits: int, d: int) -> tuple[list[int], int]:
@@ -297,12 +301,14 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     and the other side's new deltas after each strictly growing round.
 
     Each block that is not full keeps its vertices' infected-neighbour counts
-    in counter planes from one round to the next.  A round first adds the
-    last round's new infections to the counts: the images of a block's own
-    delta, and the deltas of its neighbour blocks (block B's image along top
-    coordinate j is block B ^ (1 << j) itself).  Then it drops those deltas,
-    so that only one round's are ever held, and infects the lanes that reach
-    r.  Round 1 counts from zero, every block's delta being the block itself.
+    in wrapping counter planes from one round to the next, started by
+    ``_start`` so that a lane carries out of the top plane when its count
+    reaches r.  A round adds the last round's new infections to the counts:
+    the images of a block's own delta, and the deltas of its neighbour
+    blocks (block B's image along top coordinate j is block B ^ (1 << j)
+    itself).  Then it drops those deltas, so that only one round's are ever
+    held, and infects the lanes that carried out in the round's adds.  Round
+    1 counts from the start, every block's delta being the block itself.
     Only the neighbourhood of the deltas is visited, a block dirty only
     through a neighbour shifts nothing, and a full block drops its planes and
     shares one int with every other full block.
@@ -310,7 +316,9 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     Product seeds give many blocks the same delta in the same round.  Equal
     deltas are made one object, which marshal also sends once, and the
     images of a delta held by several blocks are shifted and summed once,
-    into planes that each of those blocks adds to its counts.
+    from zero, into planes that each of those blocks adds to its counts.
+    Where that sum itself carries out, the lane has at least 2^p >= r
+    infected neighbours in the delta and is infected directly.
 
     Without a link one side owns every block, and the other side sends
     nothing.  With a link this process owns the blocks of even weight and the
@@ -322,28 +330,32 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     """
     masks, full = _masks_for(b)
     flips = [1 << j for j in range(len(blocks).bit_length() - 1)]
-    nplanes = _plane_count(r)
-    counts = {}
+    start = _start(r, full)
+    counts, hits = {}, {}
 
-    def count(shifted: dict[int, int], border: dict[int, int], shared=()) -> set[int]:
+    def count(shifted: dict[int, int], border: dict[int, int], shared=()) -> None:
         """Add the images of the shifted deltas and the deltas of the border
-        blocks to the counts of the blocks they reach, and return those of
-        the reached blocks that are not full.  The images of a shifted delta
-        whose id is in shared are summed once for all the blocks holding it."""
+        blocks to the counts of the blocks they reach that are not full, and
+        OR the lanes that carry out into those blocks' hits.  The images of a
+        shifted delta whose id is in shared are summed once for all the
+        blocks holding it."""
         dirty = {i for i in {i ^ f for i in border for f in flips}.union(shifted)
                  if blocks[i] != full}
         sums = {}
         for i in dirty:
             images = [border[i ^ f] for f in flips if i ^ f in border]
-            summed = None
+            summed, hit = None, 0
             if i in shifted:
                 x = shifted[i]
                 if id(x) not in shared:
                     images += _images(x, masks)
-                elif (summed := sums.get(id(x))) is None:
-                    summed = sums[id(x)] = _counts(r, _images(x, masks))
-            _add(counts.setdefault(i, [0] * nplanes), images, summed)
-        return dirty
+                else:
+                    if (known := sums.get(id(x))) is None:
+                        planes = [0] * len(start)
+                        known = sums[id(x)] = planes, _add(planes, _images(x, masks))
+                    summed, hit = known
+            if hit := hit | _add(counts.setdefault(i, [*start]), images, summed):
+                hits[i] = hits[i] | hit if i in hits else hit
 
     # round 1 counts every block as its own delta; the other side's need no message
     deltas, other = {}, {}
@@ -352,16 +364,17 @@ def _side_rounds(blocks: list[int], b: int, r: int,
             (other if link and i.bit_count() & 1 != link.side else deltas)[i] = x
     shared = _intern(deltas)
     if link is not None:
-        shifted = count(deltas, {}, shared)
+        count(deltas, {}, shared)
     while True:
         if link is None:
-            dirty = count(deltas, deltas, shared)
+            count(deltas, deltas, shared)
         else:
-            dirty = shifted | count({}, other)
+            count({}, other)
         deltas = {}
-        for i in dirty:
+        while hits:  # each hit freed as its delta is made
+            i, hit = hits.popitem()
             x = blocks[i]
-            y = x | _reached(r, counts[i], full)
+            y = x | hit
             if y != x:
                 deltas[i] = y ^ x
                 if y == full:
@@ -371,7 +384,7 @@ def _side_rounds(blocks: list[int], b: int, r: int,
         shared = _intern(deltas)
         if link is not None:
             link.send(deltas)
-            shifted = count(deltas, {}, shared)
+            count(deltas, {}, shared)
             other = link.receive()
         if not deltas and not other:
             return
@@ -604,12 +617,13 @@ def _scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
     """The first percolating set prefix + C, C running over the pick-subsets of
     pool in lexicographic order, or None."""
     masks, full = _masks_for(d)
+    start = _start(r, full)
     base = _bits_of(d, prefix)
     # _bits_of is linear in 2^d / 8 + pick; a sum or a table of 1 << v would be
     # quadratic in 2^d at the near-full sizes the budget admits
     for combo in combinations(pool, pick):
         bits = base | _bits_of(d, combo)
-        while (new := _round_bits(bits, r, masks, full)) != bits:
+        while (new := _round_bits(bits, start, masks)) != bits:
             bits = new
         if bits == full:
             return (*prefix, *combo)
@@ -666,6 +680,7 @@ def _lane_scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
         if not lanes:
             continue
         full = (1 << lanes) - 1
+        start = _start(r, full)
         state = [0] * (1 << d)
         for v in fixed:
             state[v] = full
@@ -676,7 +691,7 @@ def _lane_scan(d: int, r: int, prefix: tuple[int, ...], pool: list[int],
             changed = False
             for v, x in enumerate(state):
                 if x != full:
-                    new = x | _at_least(r, [state[v ^ f] for f in flips], full)
+                    new = x | _add([*start], [state[v ^ f] for f in flips])
                     if new != x:
                         state[v] = new
                         changed = True

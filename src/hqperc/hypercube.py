@@ -381,7 +381,8 @@ def _parse_bulk(lines: list[str], d: int | None) -> VertexSet | None:
     """
     from array import array  # here, so that commands that read no set skip it
 
-    data = [line for line in lines if line and line[0] != "#"]
+    comments: list[str] = []  # the one pass over the lines appends each comment and keeps none
+    data = [line for line in lines if line and (line[0] != "#" or comments.append(line))]
     dim = d if d is not None else len(data[0]) if data else None
     if not (type(dim) is int and 1 <= dim <= D_MAX) or set(map(len, data)) - {dim}:
         return None
@@ -397,9 +398,8 @@ def _parse_bulk(lines: list[str], d: int | None) -> VertexSet | None:
     bits = _bits_of(dim, vertices)
     declared: dict[str, int] = {}
     try:
-        for line in lines:
-            if line[:1] == "#":
-                _directive(line, ("expected-size",), declared, None)
+        for line in comments:
+            _directive(line, ("expected-size",), declared, None)
     except FormatError:
         return None
     if bits.bit_count() != len(data) or declared.get("expected-size", len(data)) != len(data):

@@ -46,7 +46,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _counts, _images, _masks_for, _reached, _round_bits
+from .bootstrap import _counts, _images, _masks_for, _reached, _round_bits, _start
 from .hypercube import (
     DomainError, FormatError, _bits_of, _data_lines, _iter_bits, _read_text, check_dimension,
     check_threshold, check_vertex, format_vertex, parse_vertex,
@@ -149,7 +149,8 @@ def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
     completed = top
     for c, h in enumerate([full, *levels[:-1]]):
         completed |= h & _reached(r - c, planes, full)
-    return [_round_bits(h, r, masks, full) | completed for h in levels[:-1]] + [completed]
+    start = _start(r, full)
+    return [_round_bits(h, start, masks) | completed for h in levels[:-1]] + [completed]
 
 
 def meta_step(labeling: Labeling) -> Labeling:

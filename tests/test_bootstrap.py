@@ -128,8 +128,9 @@ def test_closure_rounds_matches_trace():
 def _dense_rounds(bits, d, r):
     # the oracle: _round_bits on the whole 2^d-bit state, counting from fresh planes each round
     masks, full = bootstrap._masks_for(d)
+    start = bootstrap._start(r, full)
     states = []
-    while (new := bootstrap._round_bits(bits, r, masks, full)) != bits:
+    while (new := bootstrap._round_bits(bits, start, masks)) != bits:
         states.append(bits := new)
     return states
 
@@ -208,6 +209,46 @@ def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
             assert len(shifted) <= sum(len(set(new)) for new in deltas), (d, b, r)
             if repeats:
                 assert len(shifted) < sum(map(len, deltas)), (d, b, r)
+
+
+def _at_least_rounds(bits, d, r):
+    # an oracle shaped like perfbench's closure_rounds: at_least[k] holds the vertices with
+    # at least k infected neighbours, updated image by image, with no counter planes
+    masks, full = bootstrap._masks_for(d)
+    states = []
+    while True:
+        at_least = [full] + [0] * r
+        for i, m in enumerate(masks):
+            y = ((bits & m) << (1 << i)) | ((bits >> (1 << i)) & m)
+            for k in range(r, 0, -1):
+                at_least[k] |= at_least[k - 1] & y
+        if (new := bits | at_least[r]) == bits:
+            return states
+        states.append(bits := new)
+
+
+def test_block_round_matches_an_at_least_k_engine_at_every_threshold():
+    # the block round counts in (r - 1).bit_length() wrapping planes started at
+    # 2^planes - r: offsets 0..3 in 0..3 planes for r = 1..8.  The seeds grow over several
+    # rounds in both blocks of Q_17: Hamming spheres of radius r - 1 around a random centre,
+    # with some members dropped and random vertices added, and spheres repeated in both
+    # blocks, whose equal deltas one process sums once.  One process and split
+    rng = random.Random(53)
+    d = 17
+    for r in range(1, 9):
+        c = rng.getrandbits(d)
+        sphere = [c ^ sum(1 << i for i in cs) for cs in itertools.combinations(range(d), r - 1)]
+        cut = set(rng.sample(sphere, len(sphere) // 20)) ^ {rng.getrandbits(d) for _ in range(8)}
+        low = c & 0xFFFF
+        twins = [low ^ sum(1 << i for i in cs) for cs in itertools.combinations(range(16), r - 1)]
+        seeds = [VertexSet.of(d, sphere).bits, VertexSet.of(d, set(sphere) ^ cut).bits,
+                 VertexSet.of(d, twins + [v | 1 << 16 for v in twins]).bits]
+        for bits in seeds:
+            expected = _at_least_rounds(bits, d, r)
+            assert len(expected) >= 3, r
+            for split in (False, True):
+                assert _block_rounds(bits, d, r, 16, split) == expected, (r, split)
+    _no_process_left()
 
 
 @pytest.mark.longrun
@@ -340,14 +381,14 @@ def test_split_closures_leave_no_process(helper_on):
 def test_split_closure_stops_its_helper_when_this_process_fails(monkeypatch, helper_on):
     parent = os.getpid()
     calls = itertools.count()
-    reached = bootstrap._reached
+    add = bootstrap._add
 
-    def failing(r, planes, full):
+    def failing(planes, images, summed=None):
         if os.getpid() == parent and next(calls) == 40:
             raise ZeroDivisionError
-        return reached(r, planes, full)
+        return add(planes, images, summed)
 
-    monkeypatch.setattr(bootstrap, "_reached", failing)
+    monkeypatch.setattr(bootstrap, "_add", failing)
     with pytest.raises(ZeroDivisionError):
         closure(construct(18, 4)[0], 4)
     _no_process_left()
@@ -551,37 +592,44 @@ def test_infected_neighbour_counting_against_popcount_oracle():
 
 
 def test_counter_against_a_popcount_oracle():
-    # every lane of the saturating counter holds min(count, 2^planes - 1), whether the
-    # images come in one add or in chunks across several, and the verdict is count >= r.
-    # Up to 2 * 2^planes images of mixed density make lanes carry out of the top plane
+    # planes started by _start carry out of the top plane exactly in the lanes set in at
+    # least r images, whether the images come in one add or in chunks across several, and
+    # whether some come as planes summed from zero, whose own carry-out is at least
+    # 2^planes >= r.  The saturating _counts hold min(count, 2^planes - 1) in every lane,
+    # which _reached reads at each threshold 1..r.  Up to 2 * 2^planes images of mixed
+    # density make lanes wrap, and carry out of _counts' wider planes
     rng = random.Random(67)
     lanes = 48
     full = (1 << lanes) - 1
     for r in range(1, 10):
-        nplanes = bootstrap._plane_count(r)
-        top = (1 << nplanes) - 1
+        nplanes = (r - 1).bit_length()
+        assert len(bootstrap._start(r, full)) == nplanes
+        top = (1 << r.bit_length()) - 1
         for n in range(2 * (top + 1) + 1):
             images = [rng.choice((0, full, rng.getrandbits(lanes),
                                   rng.getrandbits(lanes) & rng.getrandbits(lanes)))
                       for _ in range(n)]
             counts = [sum(x >> c & 1 for x in images) for c in range(lanes)]
             want = sum(1 << c for c in range(lanes) if counts[c] >= r)
-            assert bootstrap._at_least(r, images, full) == want, (r, n)
+            assert bootstrap._add(bootstrap._start(r, full), images) == want, (r, n)
             cuts = sorted(rng.choices(range(n + 1), k=rng.randint(1, 4)))
-            planes = [0] * nplanes
+            planes, hit = bootstrap._start(r, full), 0
             for lo, hi in zip([0, *cuts], [*cuts, n]):
-                bootstrap._add(planes, images[lo:hi])
-            held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
-            assert held == [min(count, top) for count in counts], (r, n, cuts)
-            assert bootstrap._reached(r, planes, full) == want, (r, n, cuts)
-            # counts summed in fresh planes enter as one more input per plane, into
-            # planes that may already be at or near saturation
+                hit |= bootstrap._add(planes, images[lo:hi])
+            assert hit == want, (r, n, cuts)
+            # counts summed from zero enter as one more input per plane, into planes that
+            # may already have carried out
             lo, hi = sorted(rng.choices(range(n + 1), k=2))
-            planes = bootstrap._counts(r, images[:lo])
-            bootstrap._add(planes, images[hi:], bootstrap._counts(r, images[lo:hi]))
+            planes, summed = bootstrap._start(r, full), [0] * nplanes
+            hit = bootstrap._add(planes, images[:lo]) | bootstrap._add(summed, images[lo:hi])
+            hit |= bootstrap._add(planes, images[hi:], summed)
+            assert hit == want, (r, n, lo, hi)
+            planes = bootstrap._counts(r, images)
             held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
-            assert held == [min(count, top) for count in counts], (r, n, lo, hi)
-            assert bootstrap._reached(r, planes, full) == want, (r, n, lo, hi)
+            assert held == [min(count, top) for count in counts], (r, n)
+            for t in range(1, r + 1):
+                at_t = sum(1 << c for c in range(lanes) if counts[c] >= t)
+                assert bootstrap._reached(t, planes, full) == at_t, (r, n, t)
 
 
 def test_search_no_triple_percolates_q3():

@@ -10,6 +10,8 @@ import marshal
 import os
 import select
 
+from .bootstrap import _HelperLost
+
 # The helper exits with this status when it runs out of memory.
 OUT_OF_MEMORY = 3
 
@@ -90,7 +92,7 @@ class Link:
         if code == OUT_OF_MEMORY:
             raise MemoryError("the closure's round helper ran out of memory")
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise RuntimeError(f"the closure's round helper process {how}")
+        raise _HelperLost(f"the closure's round helper process {how}")
 
     def close(self) -> None:
         """Close the pipes, and reap the helper if it is still there.

@@ -21,7 +21,8 @@ in the same round; equal deltas become one object, and the images of a
 delta held by several blocks are shifted and summed once.  ``_rounds`` runs
 that round to the fixed point for closure, trace and step.  The meta
 process and the per-set search call the dense round ``_round_bits``, which
-counts from fresh start planes with the same adder.
+counts from fresh start planes with the same adder; the meta sweep's
+completion adds the lower levels to the top level's count in that adder.
 
 A closure of many blocks chooses its block layout once the infected set
 holds four times the seed's vertices: the coordinates along which the
@@ -110,6 +111,10 @@ class SearchAborted(RuntimeError):
     """An exhaustive search refused to run past its subset budget or pool cap."""
 
 
+class _HelperLost(RuntimeError):
+    """A closure's round helper process ended before the closure did."""
+
+
 def _masks_for(d: int) -> tuple[tuple[int, ...], int]:
     """Per-coordinate masks selecting the indices whose bit i is 0, plus the all-ones state."""
     n = 1 << d
@@ -168,28 +173,6 @@ def _start(r: int, full: int) -> list[int]:
     p, holding 2^p - r in every lane."""
     p = (r - 1).bit_length()
     return [full if ((1 << p) - r) >> j & 1 else 0 for j in range(p)]
-
-
-def _counts(r: int, images) -> list[int]:
-    """The images added up in fresh saturating counter planes that hold 0..r:
-    r.bit_length() planes, a lane that carries out being clamped to all-ones,
-    so every lane holds min(count, 2^planes - 1)."""
-    planes = [0] * r.bit_length()
-    if over := _add(planes, images):
-        planes = [p | over for p in planes]
-    return planes
-
-
-def _reached(r: int, planes: list[int], full: int) -> int:
-    """The lanes whose count in the saturating planes is at least r: a bit-sliced comparison."""
-    ge = 0
-    eq = full
-    for j in reversed(range(len(planes))):
-        if (r >> j) & 1:
-            eq &= planes[j]
-        else:
-            ge |= eq & planes[j]
-    return ge | eq
 
 
 def _images(bits: int, masks) -> list[int]:

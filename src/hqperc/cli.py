@@ -4,7 +4,9 @@ Subcommands: verify, construct, closure, meta-verify, bound, table, search.
 Exit codes are a stable contract: 0 success (or: percolates / witness
 found), 1 definite negative, 2 usage or parse error, 3 resource cap
 (search past its budget, verification requested above the simulation
-cap, or memory exhausted).  Identical inputs produce byte-identical outputs.
+cap, memory exhausted, or a closure's round helper process that died:
+the out-of-memory killer ends it with SIGKILL).  Identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from . import bounds
 from .bootstrap import (
     SearchAborted,
+    _HelperLost,
     closure_rounds,
     percolates,
     search_percolating_set,
@@ -274,6 +277,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
+    except _HelperLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -16,9 +16,11 @@ the fixed point assigns r everywhere.
 A sweep runs on the level sets H_t = {v : label >= t}, t = 1..r, with the
 bootstrap round: v's r-th highest neighbour label is >= t iff v has r
 neighbours in H_t, so promotion is the r-neighbour round of each H_t.
-Completion adds to every level the union over c = 0..r-1 of H_c (H_0 = Q_k)
-and the (r-c)-neighbour round of H_r; H_r's neighbours are counted once and
-read at each threshold.  The new label of v counts the levels holding it.
+Completion adds to every level the vertices whose neighbours in H_r and
+lower levels H_1..H_(r-1) holding them count to r: a vertex of label L < r
+lies in L lower levels, so this is its r - L neighbours in H_r, read as one
+carry-out of the round's counter.  The new label of v counts the levels
+holding it.
 _rule_result keeps the per-vertex rules as the reference.
 
 Labeling text format: lines ``<k-bit string> <label>``; '#' starts a
@@ -46,7 +48,7 @@ __all__ = [
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .bootstrap import _counts, _images, _masks_for, _reached, _round_bits, _start
+from .bootstrap import _add, _images, _masks_for, _round_bits, _start
 from .hypercube import (
     DomainError, FormatError, _bits_of, _data_lines, _iter_bits, _read_text, check_dimension,
     check_threshold, check_vertex, format_vertex, parse_vertex,
@@ -140,16 +142,15 @@ def _from_levels(levels: list[int], k: int, r: int) -> Labeling:
 def _sweep(levels: list[int], r: int, masks, full: int) -> list[int]:
     """One synchronous sweep of both rules on the level sets.
 
-    Completion reads the thresholds r - c from one count of the top level's
-    neighbours.  Its c = 0 term is the top level's own promotion, so the
+    A vertex of label L < r lies in L of the lower levels H_1..H_(r-1), so
+    it has r - L neighbours in H_r iff those neighbours and the lower levels
+    holding it count to r: completion is one carry-out of the round's
+    counter, and for L = 0 it is the top level's own promotion.  So the
     completed set is the new top level.
     """
     top = levels[-1]
-    planes = _counts(r, _images(top, masks))
-    completed = top
-    for c, h in enumerate([full, *levels[:-1]]):
-        completed |= h & _reached(r - c, planes, full)
     start = _start(r, full)
+    completed = top | _add([*start], [*_images(top, masks), *levels[:-1]])
     return [_round_bits(h, start, masks) | completed for h in levels[:-1]] + [completed]
 
 

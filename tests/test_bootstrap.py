@@ -143,6 +143,19 @@ def _block_rounds(bits, d, r, b, split):
             for state, _ in bootstrap._rounds(blocks, b, r, split)]
 
 
+def _assert_same_rounds(got, expected, context):
+    # lists of 2^d-bit states: pytest cannot render ints past 4,300 digits, so a mismatch
+    # names the round counts, the first differing round and its lowest differing vertex
+    rounds = f"{context}: {len(got)} rounds, expected {len(expected)}"
+    for i, (a, b) in enumerate(zip(got, expected), 1):
+        if a != b:
+            diff = a ^ b
+            pytest.fail(f"{rounds}; round {i} differs first at vertex "
+                        f"{(diff & -diff).bit_length() - 1}")
+    if len(got) != len(expected):
+        pytest.fail(rounds)
+
+
 def _relabeled(seed, rng):
     return apply_automorphism(Automorphism.random(rng, seed.d), seed).bits
 
@@ -168,8 +181,8 @@ def test_block_round_matches_the_single_block_round():
                 expected = _dense_rounds(bits, d, r)
                 for b in {1, 2, d - 1, d} & set(range(1, d + 1)):
                     for split in (False, True):
-                        assert _block_rounds(bits, d, r, b, split) == expected, (
-                            d, r, b, split, bits)
+                        _assert_same_rounds(_block_rounds(bits, d, r, b, split), expected,
+                                            (d, r, b, split, bits))
 
 
 def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
@@ -196,7 +209,7 @@ def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
     for d, bits, b, repeats in seeds:
         for r in (3, 4):
             expected = _dense_rounds(bits, d, r)
-            assert _block_rounds(bits, d, r, b, True) == expected, (d, b, r)
+            _assert_same_rounds(_block_rounds(bits, d, r, b, True), expected, (d, b, r))
             low = (1 << (1 << b)) - 1
             blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
             deltas = [[x for x in blocks if x]]  # round 1 counts every block as its delta
@@ -205,7 +218,7 @@ def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
             for state, new in bootstrap._rounds(blocks, b, r, False):
                 states.append(sum(x << (i << b) for i, x in enumerate(state)))
                 deltas.append(new)
-            assert states == expected, (d, b, r)
+            _assert_same_rounds(states, expected, (d, b, r))
             assert len(shifted) <= sum(len(set(new)) for new in deltas), (d, b, r)
             if repeats:
                 assert len(shifted) < sum(map(len, deltas)), (d, b, r)
@@ -247,7 +260,7 @@ def test_block_round_matches_an_at_least_k_engine_at_every_threshold():
             expected = _at_least_rounds(bits, d, r)
             assert len(expected) >= 3, r
             for split in (False, True):
-                assert _block_rounds(bits, d, r, 16, split) == expected, (r, split)
+                _assert_same_rounds(_block_rounds(bits, d, r, 16, split), expected, (r, split))
     _no_process_left()
 
 
@@ -261,7 +274,8 @@ def test_block_round_matches_the_dense_round_at_18():
         expected = _dense_rounds(bits, 18, r)
         for b in (9, 16):
             for split in (False, True):
-                assert _block_rounds(bits, 18, r, b, split) == expected, (r, b, split)
+                _assert_same_rounds(_block_rounds(bits, 18, r, b, split), expected,
+                                    (r, b, split))
 
 
 @pytest.fixture
@@ -428,7 +442,7 @@ def test_a_helper_out_of_memory_is_a_memory_error(monkeypatch, capsys, tmp_path,
     _no_process_left()
 
 
-def test_a_helper_death_names_its_exit_status(monkeypatch, capfd, helper_on):
+def test_a_helper_death_names_its_exit_status(monkeypatch, capfd, tmp_path, helper_on):
     def fail():
         raise ValueError("helper failed")
 
@@ -444,6 +458,13 @@ def test_a_helper_death_names_its_exit_status(monkeypatch, capfd, helper_on):
     monkeypatch.setattr(bootstrap, "_images", _in_helper(os.getpid(), killed))
     with pytest.raises(RuntimeError, match="helper process was killed by signal 9$"):
         closure(construct(18, 4)[0], 4)
+    _no_process_left()
+    # SIGKILL is how the out-of-memory killer ends a process: the CLI names the signal in
+    # one error line and exits 3, the resource cap, not 1, a definite negative
+    out = str(tmp_path / "q18.set")
+    assert main(["construct", "--d", "18", "--r", "4", "--out", out, "--verify"]) == 3
+    assert capfd.readouterr().err == (
+        "error: the closure's round helper process was killed by signal 9\n")
     _no_process_left()
 
 
@@ -595,9 +616,7 @@ def test_counter_against_a_popcount_oracle():
     # planes started by _start carry out of the top plane exactly in the lanes set in at
     # least r images, whether the images come in one add or in chunks across several, and
     # whether some come as planes summed from zero, whose own carry-out is at least
-    # 2^planes >= r.  The saturating _counts hold min(count, 2^planes - 1) in every lane,
-    # which _reached reads at each threshold 1..r.  Up to 2 * 2^planes images of mixed
-    # density make lanes wrap, and carry out of _counts' wider planes
+    # 2^planes >= r.  Up to 2 * 2^r.bit_length() images of mixed density make lanes wrap
     rng = random.Random(67)
     lanes = 48
     full = (1 << lanes) - 1
@@ -624,12 +643,6 @@ def test_counter_against_a_popcount_oracle():
             hit = bootstrap._add(planes, images[:lo]) | bootstrap._add(summed, images[lo:hi])
             hit |= bootstrap._add(planes, images[hi:], summed)
             assert hit == want, (r, n, lo, hi)
-            planes = bootstrap._counts(r, images)
-            held = [sum((p >> c & 1) << j for j, p in enumerate(planes)) for c in range(lanes)]
-            assert held == [min(count, top) for count in counts], (r, n)
-            for t in range(1, r + 1):
-                at_t = sum(1 << c for c in range(lanes) if counts[c] >= t)
-                assert bootstrap._reached(t, planes, full) == at_t, (r, n, t)
 
 
 def test_search_no_triple_percolates_q3():

@@ -101,12 +101,16 @@ def test_labels_never_decrease():
 
 
 def test_meta_step_matches_reference_sweep():
-    # whole trajectories to the fixed point, including thresholds above k
+    # whole trajectories to the fixed point, including thresholds above k.  Two fixed
+    # labelings come first: a label-3 vertex of Q_8 whose 8 neighbours all hold r = 4, so
+    # its completion count (8 neighbours and 3 lower levels) wraps ceil(log2 4) = 2 planes
+    # more than once, and an r = 1 labeling, whose counter has no planes
     rng = random.Random(43)
-    for _ in range(400):
-        k = rng.randint(1, 7)
-        r = rng.randint(1, 6)
-        start = lab = random_labeling(rng, k, r)
+    starts = [Labeling.of(8, 4, {0: 3} | {1 << i: 4 for i in range(8)}),
+              Labeling.of(4, 1, {0b0101: 1})]
+    starts += [random_labeling(rng, rng.randint(1, 7), rng.randint(1, 6)) for _ in range(400)]
+    for start in starts:
+        lab = start
         while True:
             stepped = meta_step(lab)
             assert stepped == reference_meta_step(lab)
@@ -114,7 +118,7 @@ def test_meta_step_matches_reference_sweep():
                 break
             lab = stepped
         assert meta_fixpoint(start) == lab
-        assert meta_percolates(start) == lab.is_all(r)
+        assert meta_percolates(start) == lab.is_all(start.r)
     # meta_l12 takes 58 sweeps, the last of which changes nothing
     lab = catalog_labeling(12)
     sweeps = 0

@@ -14,15 +14,16 @@ added by a carry-save adder (Harley-Seal; Mula, Kurz & Lemire, Comput. J.
 the top plane exactly when its count reaches r: the carry-out is the
 threshold, with no comparison.  Each block that is not full keeps its
 planes from round to round, at most ceil(log2 r) * 2^d bits in all, so a
-round adds only the last round's new infections: the images of a block's
-own delta (O(b * 2^b / w) word operations) and the deltas of its neighbour
-blocks, which cost no shift.  Product seeds give many blocks the same delta
-in the same round; equal deltas become one object, and the images of a
-delta held by several blocks are shifted and summed once.  ``_rounds`` runs
-that round to the fixed point for closure, trace and step.  The meta
-process and the per-set search call the dense round ``_round_bits``, which
-counts from fresh start planes with the same adder; the meta sweep's
-completion adds the lower levels to the top level's count in that adder.
+round adds only the last round's new infections, in two passes: the images
+of each block's own delta (O(b * 2^b / w) word operations), then the deltas
+of its neighbour blocks, which cost no shift.  Product seeds give many
+blocks the same delta in the same round; equal deltas become one object,
+and the images of a delta held by several blocks are shifted and summed
+once.  ``_rounds`` runs that round to the fixed point for closure and
+trace, and ``step`` runs one round of it.  The meta process and the
+per-set search call the dense round ``_round_bits``, which counts from
+fresh start planes with the same adder; the meta sweep's completion adds
+the lower levels to the top level's count in that adder.
 
 A closure of many blocks chooses its block layout once the infected set
 holds four times the seed's vertices: the coordinates along which the
@@ -37,7 +38,8 @@ with a second usable CPU, splits every round between this process and one
 helper forked for the run.  Blocks go by the parity of their index's
 weight, so each block's neighbour blocks are all on the other side; each
 round the two sides swap their new deltas through a pipe pair, and shift
-their own while the messages travel.  ``step`` never forks.
+their own while the messages travel.  Other closures and ``step`` run the
+same round in one process, without messages.
 
 By Aut(Q_d) symmetry the search scans, in one process, only the sets that
 can be the first witness, in lexicographic order.  On small cubes it
@@ -228,33 +230,33 @@ def _use_helper(nblocks: int) -> bool:
         return threading.active_count() == 1
 
 
-def _rounds(blocks: list[int], b: int, r: int,
-            split: bool) -> Iterator[tuple[list[int], list[int]]]:
-    """Update the blocks in place and yield them, with the round's new deltas,
-    after each strictly growing round, up to the fixed point.
+def _rounds(blocks: list[int], b: int, r: int) -> Iterator[list[int]]:
+    """Update the blocks in place and yield them after each strictly growing
+    round, up to the fixed point.
 
-    With split, the blocks of odd weight go to a helper forked for the run
-    (see ``_side_rounds``), and this process ORs the helper's deltas into
-    its copy of those blocks, so each yield is still the whole state.  The
-    pipes are closed and the helper reaped when the rounds end, fail or are
-    abandoned.
+    When ``_use_helper`` allows it, the blocks of odd weight go to a helper
+    forked for the run (see ``_side_rounds``), and this process ORs the
+    helper's deltas into its copy of those blocks, so each yield is still
+    the whole state.  The pipes are closed and the helper reaped when the
+    rounds end, fail or are abandoned.
     """
     def helper(link):
         for _ in _side_rounds(blocks, b, r, link):
             pass
 
     link = None
-    if split:
+    if _use_helper(len(blocks)):
         from . import _helper  # process code, compiled only when a closure splits
 
         link = _helper.fork(helper)
     full = (1 << (1 << b)) - 1
     try:
-        for own, other in _side_rounds(blocks, b, r, link):
-            for i, x in other.items():
-                y = blocks[i] | x
-                blocks[i] = full if y == full else y
-            yield blocks, [*own.values(), *other.values()]
+        for other in _side_rounds(blocks, b, r, link):
+            if link is not None:
+                for i, x in other.items():
+                    y = blocks[i] | x
+                    blocks[i] = full if y == full else y
+            yield blocks
     finally:
         if link is not None:
             link.close()
@@ -279,22 +281,23 @@ def _intern(deltas: dict[int, int]) -> set[int]:
 
 
 def _side_rounds(blocks: list[int], b: int, r: int,
-                 link: Link | None) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """Run one side's blocks to the fixed point, in place, and yield this side's
-    and the other side's new deltas after each strictly growing round.
+                 link: Link | None) -> Iterator[dict[int, int]]:
+    """Run one side's blocks to the fixed point, in place, and yield the other
+    side's new deltas, which the next round clears, after each strictly
+    growing round.
 
     Each block that is not full keeps its vertices' infected-neighbour counts
     in wrapping counter planes from one round to the next, started by
     ``_start`` so that a lane carries out of the top plane when its count
-    reaches r.  A round adds the last round's new infections to the counts:
-    the images of a block's own delta, and the deltas of its neighbour
-    blocks (block B's image along top coordinate j is block B ^ (1 << j)
-    itself).  Then it drops those deltas, so that only one round's are ever
-    held, and infects the lanes that carried out in the round's adds.  Round
-    1 counts from the start, every block's delta being the block itself.
-    Only the neighbourhood of the deltas is visited, a block dirty only
-    through a neighbour shifts nothing, and a full block drops its planes and
-    shares one int with every other full block.
+    reaches r.  A round adds the last round's new infections to the counts
+    in two passes: ``shift`` adds the images of each block's own delta, and
+    ``border`` the deltas of its neighbour blocks, which need no shift
+    (block B's image along top coordinate j is block B ^ (1 << j) itself).
+    Then it drops those deltas, so that only one round's are ever held, and
+    infects the lanes that carried out in the round's adds.  Only the
+    neighbourhood of the deltas is visited, a block dirty only through a
+    neighbour shifts nothing, and a full block drops its planes and shares
+    one int with every other full block.
 
     Product seeds give many blocks the same delta in the same round.  Equal
     deltas are made one object, which marshal also sends once, and the
@@ -303,56 +306,54 @@ def _side_rounds(blocks: list[int], b: int, r: int,
     Where that sum itself carries out, the lane has at least 2^p >= r
     infected neighbours in the delta and is infected directly.
 
-    Without a link one side owns every block, and the other side sends
-    nothing.  With a link this process owns the blocks of even weight and the
-    helper those of odd weight, so every neighbour block of a block is on the
-    other side.  A side sends its new deltas, adds their shifted images while
-    the message travels, receives the other side's deltas, and adds them to
-    the blocks they border.  Both sides see the same deltas, so both stop
-    after the same round.
+    With a link this process owns the blocks of even weight and the helper
+    those of odd weight, so every neighbour block of a block is on the other
+    side.  A side sends its new deltas, shifts them while the message
+    travels, and receives the other side's, which border its blocks in the
+    next round.  Both sides see the same deltas, so both stop after the same
+    round.  Without a link one side owns every block and is its own other
+    side: the same round, without messages.
     """
     masks, full = _masks_for(b)
     flips = [1 << j for j in range(len(blocks).bit_length() - 1)]
     start = _start(r, full)
     counts, hits = {}, {}
 
-    def count(shifted: dict[int, int], border: dict[int, int], shared=()) -> None:
-        """Add the images of the shifted deltas and the deltas of the border
-        blocks to the counts of the blocks they reach that are not full, and
-        OR the lanes that carry out into those blocks' hits.  The images of a
-        shifted delta whose id is in shared are summed once for all the
-        blocks holding it."""
-        dirty = {i for i in {i ^ f for i in border for f in flips}.union(shifted)
-                 if blocks[i] != full}
+    def add(i: int, images, summed=None, hit=0) -> None:
+        """Add to block i's counts, and OR the lanes that carry out into its hits."""
+        if hit := hit | _add(counts.setdefault(i, [*start]), images, summed):
+            hits[i] = hits[i] | hit if i in hits else hit
+
+    def shift(deltas: dict[int, int], shared: set[int]) -> None:
+        """Add the images of each delta to its own block's counts, unless that
+        block is full.  The images of a delta whose id is in shared are summed
+        once for all the blocks holding it."""
         sums = {}
-        for i in dirty:
-            images = [border[i ^ f] for f in flips if i ^ f in border]
-            summed, hit = None, 0
-            if i in shifted:
-                x = shifted[i]
-                if id(x) not in shared:
-                    images += _images(x, masks)
-                else:
-                    if (known := sums.get(id(x))) is None:
-                        planes = [0] * len(start)
-                        known = sums[id(x)] = planes, _add(planes, _images(x, masks))
-                    summed, hit = known
-            if hit := hit | _add(counts.setdefault(i, [*start]), images, summed):
-                hits[i] = hits[i] | hit if i in hits else hit
+        for i, x in deltas.items():
+            if blocks[i] == full:
+                continue
+            if id(x) not in shared:
+                add(i, _images(x, masks))
+                continue
+            if (known := sums.get(id(x))) is None:
+                planes = [0] * len(start)
+                known = sums[id(x)] = planes, _add(planes, _images(x, masks))
+            add(i, (), *known)
+
+    def border(deltas: dict[int, int]) -> None:
+        """Add the deltas to the counts of their neighbour blocks that are not full."""
+        for i in {i ^ f for i in deltas for f in flips}:
+            if blocks[i] != full:
+                add(i, [deltas[i ^ f] for f in flips if i ^ f in deltas])
 
     # round 1 counts every block as its own delta; the other side's need no message
-    deltas, other = {}, {}
-    for i, x in enumerate(blocks):
-        if x:
-            (other if link and i.bit_count() & 1 != link.side else deltas)[i] = x
-    shared = _intern(deltas)
+    deltas = other = {i: x for i, x in enumerate(blocks) if x}
     if link is not None:
-        count(deltas, {}, shared)
+        deltas = {i: other.pop(i) for i in [*other] if i.bit_count() & 1 == link.side}
+    shift(deltas, _intern(deltas))
     while True:
-        if link is None:
-            count(deltas, deltas, shared)
-        else:
-            count({}, other)
+        border(other)
+        other.clear()  # also the dict yielded last round: one round's deltas are held
         deltas = {}
         while hits:  # each hit freed as its delta is made
             i, hit = hits.popitem()
@@ -367,11 +368,11 @@ def _side_rounds(blocks: list[int], b: int, r: int,
         shared = _intern(deltas)
         if link is not None:
             link.send(deltas)
-            count(deltas, {}, shared)
-            other = link.receive()
+        shift(deltas, shared)
+        other = deltas if link is None else link.receive()
         if not deltas and not other:
             return
-        yield deltas, other
+        yield other
 
 
 def _coordinate_swaps(blocks: list[int], b: int) -> list[tuple[int, int]]:
@@ -434,21 +435,19 @@ def _closed_blocks(a0: VertexSet, r: int) -> tuple[list[int], int, int, list[tup
     """
     check_threshold(r, a0.d)
     blocks, b = _split(a0.bits, a0.d)
-    split = _use_helper(len(blocks))
-    states = _rounds(blocks, b, r, split)
+    states = _rounds(blocks, b, r)
     rounds, swaps = 0, []
     if len(blocks) >= _LAYOUT_BLOCKS:
-        grow = 3 * len(a0)  # the new vertices still to come before the layout is chosen
-        for rounds, (blocks, new) in enumerate(states, 1):
-            grow -= sum(map(int.bit_count, new))
-            if grow <= 0:
+        grown = 4 * len(a0)  # the infected vertices that choose the layout
+        for rounds, blocks in enumerate(states, 1):
+            if sum(map(int.bit_count, blocks)) >= grown:
                 swaps = _coordinate_swaps(blocks, b)
                 break
     if swaps:
         states.close()  # reaps the helper
         _swap(blocks, b, swaps)
-        states = _rounds(blocks, b, r, split)
-    for rounds, (blocks, _) in enumerate(states, rounds + 1):
+        states = _rounds(blocks, b, r)
+    for rounds, blocks in enumerate(states, rounds + 1):
         pass
     return blocks, b, rounds, swaps
 
@@ -474,9 +473,9 @@ def percolates(a0: VertexSet, r: int) -> bool:
 def step(a: VertexSet, r: int) -> VertexSet:
     """One synchronous round of the r-neighbour update."""
     check_threshold(r, a.d)
-    for blocks, _ in _rounds(*_split(a.bits, a.d), r, False):
-        return VertexSet(a.d, _join(blocks))
-    return a
+    blocks, b = _split(a.bits, a.d)
+    next(_side_rounds(blocks, b, r, None), None)  # the blocks after one round
+    return VertexSet(a.d, _join(blocks))
 
 
 class InfectionTrace:
@@ -546,8 +545,7 @@ def trace(a0: VertexSet, r: int) -> InfectionTrace:
     check_threshold(r, a0.d)
     d = a0.d
     blocks, b = _split(a0.bits, d)
-    states = _rounds(blocks, b, r, _use_helper(len(blocks)))
-    rounds = (a0, *(VertexSet(d, _join(state)) for state, _ in states))
+    rounds = (a0, *(VertexSet(d, _join(state)) for state in _rounds(blocks, b, r)))
     return InfectionTrace(d, r, rounds, rounds[-1].is_full())
 
 

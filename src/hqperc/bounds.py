@@ -21,8 +21,8 @@ __all__ = [
 from math import comb
 from typing import NamedTuple
 
-from .constructions import THRESHOLDS, construction_size
-from .hypercube import DomainError, check_threshold
+from .constructions import construction_size
+from .hypercube import check_threshold
 
 LOWER_BOUND_NOTE = "ceiled rational bound"
 
@@ -86,10 +86,8 @@ class BoundReport(NamedTuple):
 
 def bound_report(d: int, r: int) -> BoundReport:
     """Combine the lower bound with the realized construction size."""
-    if r not in THRESHOLDS:
-        raise DomainError(f"reports cover thresholds {THRESHOLDS[0]}..{THRESHOLDS[-1]}, got {r}")
+    upper = construction_size(d, r)  # checks the threshold as construct does
     lower = lower_bound(d, r)
-    upper = construction_size(d, r)
     if lower > upper:
         raise AssertionError(f"lower bound {lower} exceeds construction {upper}")
     gap = upper - lower

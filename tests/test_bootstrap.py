@@ -139,8 +139,13 @@ def _block_rounds(bits, d, r, b, split):
     # split: the blocks of odd weight go to a forked helper, whatever d and the CPUs
     low = (1 << (1 << b)) - 1
     blocks = [bits >> (i << b) & low for i in range(1 << (d - b))]
-    return [sum(x << (i << b) for i, x in enumerate(state))
-            for state, _ in bootstrap._rounds(blocks, b, r, split)]
+    use_helper = bootstrap._use_helper
+    bootstrap._use_helper = lambda nblocks: split
+    try:
+        return [sum(x << (i << b) for i, x in enumerate(state))
+                for state in bootstrap._rounds(blocks, b, r)]
+    finally:
+        bootstrap._use_helper = use_helper
 
 
 def _assert_same_rounds(got, expected, context):
@@ -215,9 +220,9 @@ def test_block_round_shifts_each_repeated_delta_once(monkeypatch):
             deltas = [[x for x in blocks if x]]  # round 1 counts every block as its delta
             states = []
             shifted.clear()
-            for state, new in bootstrap._rounds(blocks, b, r, False):
-                states.append(sum(x << (i << b) for i, x in enumerate(state)))
-                deltas.append(new)
+            for new in bootstrap._side_rounds(blocks, b, r, None):
+                states.append(sum(x << (i << b) for i, x in enumerate(blocks)))
+                deltas.append(list(new.values()))
             _assert_same_rounds(states, expected, (d, b, r))
             assert len(shifted) <= sum(len(set(new)) for new in deltas), (d, b, r)
             if repeats:
@@ -386,7 +391,7 @@ def test_split_closures_leave_no_process(helper_on):
     _no_process_left()
     assert len(trace(seed, 4).rounds) == 67
     _no_process_left()
-    rounds = bootstrap._rounds(*bootstrap._split(seed.bits, 18), 4, True)
+    rounds = bootstrap._rounds(*bootstrap._split(seed.bits, 18), 4)
     next(rounds)
     del rounds  # abandoned after one round
     _no_process_left()
@@ -514,6 +519,34 @@ def test_the_helper_flushes_no_inherited_buffer(run_fresh):
     )
     assert done.returncode == 0, done.stderr
     assert (done.stdout, done.stderr) == ("before\nafter\nat exit\n", "")
+
+
+def test_rounds_fork_exactly_when_use_helper_allows(monkeypatch):
+    # closure_rounds and trace fork one helper when _use_helper allows it and none when it
+    # does not, step never forks, and a closure laid out again forks a second helper for
+    # its new layout; every helper is reaped
+    forks = []
+    fork = _helper.fork
+
+    def counted(run):
+        forks.append(run)
+        return fork(run)
+
+    monkeypatch.setattr(_helper, "fork", counted)
+    seed = construct(17, 4)[0]
+    for allowed in (True, False):
+        monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: allowed)
+        for run in (closure_rounds, trace, step):
+            forks.clear()
+            run(seed, 4)
+            assert len(forks) == (allowed and run is not step), (run.__name__, allowed)
+            _no_process_left()
+    monkeypatch.setattr(bootstrap, "_use_helper", lambda nblocks: True)
+    monkeypatch.setattr(bootstrap, "_LAYOUT_BLOCKS", 2)
+    forks.clear()
+    closure_rounds(VertexSet(18, _relabeled(construct(18, 4)[0], random.Random(18))), 4)
+    assert len(forks) == 2
+    _no_process_left()
 
 
 def test_step_is_one_round_of_trace():

@@ -216,7 +216,7 @@ def test_construct_out_and_recipe_bytes_are_pinned(
          "usage: hqperc table [-h] --dmax DMAX --r {1,2,3,4} [--format {text,json,csv}]\n"
          "hqperc table: error: argument --r: invalid choice: 5 (choose from 1, 2, 3, 4)\n"),
         (["bound", "--d", "10", "--r", "5"],
-         "error: reports cover thresholds 1..4, got 5\n"),
+         "error: not implemented for r > 4 (got r=5)\n"),
         (["construct", "--d", "10", "--r", "5", "--out", "unused.set"],
          "error: not implemented for r > 4 (got r=5)\n"),
     ],

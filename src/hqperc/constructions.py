@@ -2,9 +2,9 @@
 
 Three ingredients combine here:
 
-* a catalog of explicit seeds shipped as text assets: 4-neighbour seeds for
-  dimensions 4..15, 3-neighbour seeds for dimensions 3..8, and four
-  meta-percolating labelings (on Q_3, Q_4, Q_6, Q_12);
+* a catalog: 4-neighbour seeds for dimensions 4..15, 3-neighbour seeds for
+  3..8 and meta-percolating labelings on Q_3, Q_4, Q_6, Q_12, shipped as
+  text assets but for meta_l3, s3_d3 and s4_d4, which one closed form gives;
 * closed-form nested families for thresholds 1 and 2 (the origin, and the
   origin plus consecutive coordinate pairs);
 * the product construction: given a labeling of Q_k that percolates under
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 import functools
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -130,18 +130,31 @@ def _asset_text(name: str) -> str:
     return (resources.files(__package__) / "assets" / name).read_text(encoding="utf-8")
 
 
+def _binomial(r: int) -> Labeling:
+    """Label r - wt(v & ~0b10) on the even-weight v of Q_r, 0 on odd v: meta_l3 at r = 3.
+
+    Its support, the 2^(r-1) = MN(r, r) even v, percolates at r.  Support lemma:
+    a vertex gains a nonzero label only with r nonzero neighbours (r higher ones
+    to promote, r at label r to complete from 0), so an r-meta-percolating
+    labeling's support percolates at r, and an exact one's is a minimum one.
+    """
+    return Labeling(r, r, [0 if v.bit_count() % 2 else r - (v & ~2).bit_count()
+                           for v in range(1 << r)])
+
+
 @functools.lru_cache(maxsize=None)
 def _catalog(r: int, d: int) -> VertexSet:
-    """The shipped r-neighbour seed s{r}_d{d} (r in {3, 4}), checked against its size."""
+    """The r-neighbour seed s{r}_d{d}, size-checked; _binomial(r)'s support at d = r."""
     expected = CATALOG_SIZES[r][d]
-    s = parse_vertex_set(_asset_text(f"s{r}_d{d}.set"), d)
+    s = (VertexSet.of(d, compress(range(1 << d), _binomial(r).labels)) if d == r
+         else parse_vertex_set(_asset_text(f"s{r}_d{d}.set"), d))
     if len(s) != expected:
         raise DomainError(f"catalog seed s{r}_d{d} has {len(s)} vertices, expected {expected}")
     return s
 
 
 def catalog_seed(d: int) -> VertexSet:
-    """The shipped 4-neighbour seed for dimension d (4 <= d <= 15)."""
+    """The catalog 4-neighbour seed for dimension d (4 <= d <= 15)."""
     if d not in CATALOG_SEED_SIZES:
         raise DomainError(f"no catalog 4-neighbour seed for dimension {d}")
     return _catalog(4, d)
@@ -149,11 +162,11 @@ def catalog_seed(d: int) -> VertexSet:
 
 @functools.lru_cache(maxsize=None)
 def catalog_labeling(k: int) -> Labeling:
-    """The shipped meta-percolating labeling on Q_k (k in {3, 4, 6, 12})."""
+    """The catalog's meta-percolating labeling on Q_k (k in {3, 4, 6, 12}); shipped for k > 3."""
     if k not in CATALOG_HISTOGRAMS:
         raise DomainError(f"no catalog labeling for dimension {k}")
     r = len(CATALOG_HISTOGRAMS[k])
-    lab = parse_labeling(_asset_text(f"meta_l{k}.lab"), k, r)
+    lab = _binomial(3) if k == 3 else parse_labeling(_asset_text(f"meta_l{k}.lab"), k, r)
     if lab.histogram() != CATALOG_HISTOGRAMS[k]:
         raise DomainError(
             f"catalog labeling meta_l{k} has histogram {lab.histogram()},"

@@ -207,6 +207,7 @@ def schedule_oracle(labeling: Labeling, schedule: Iterable[tuple[int, int]]) -> 
 def parse_labeling(text: str, k: int, r: int) -> Labeling:
     """Parse the labeling text format; raises FormatError with line numbers."""
     check_dimension(k)
+    check_threshold(r)
     labels = [0] * (1 << k)
     seen = set()
     count = 0

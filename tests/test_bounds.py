@@ -19,6 +19,7 @@ from hqperc import (
     search_percolating_set,
     upper_bound_m4,
 )
+from hqperc.constructions import CATALOG_HISTOGRAMS
 
 LOWER_R4_BY_DIM = {
     4: 8, 5: 13, 6: 18, 7: 26, 8: 35, 9: 47,
@@ -26,11 +27,32 @@ LOWER_R4_BY_DIM = {
 }
 
 
-def rational_lower_bound(d, r):
+def morrison_noel(d, r):
+    """The Morrison-Noel bound before its ceiling, a polynomial in d for d >= r."""
     total = Fraction(1 << (r - 1))
     for j in range(1, r):
         total += Fraction(comb(d - j - 1, r - j) * j * (1 << (j - 1)), r)
-    return ceil(total)
+    return total
+
+
+def histogram_solution(k, r):
+    """The h with sum_i h_i MN(d - k, i) = MN(d, r) for every d >= k + r.
+
+    Both sides are polynomials in d of degree r - 1, and MN(d - k, i) has
+    degree i - 1, so r sample points fix h; Gauss-Jordan in exact Fractions.
+    """
+    rows = [[morrison_noel(d - k, i) for i in range(1, r + 1)] + [morrison_noel(d, r)]
+            for d in range(k + r, k + 2 * r)]
+    for c in range(r):
+        p = next(i for i in range(c, r) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for i in range(r):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return tuple(row[r] for row in rows)
 
 
 def test_lower_bound_examples():
@@ -47,7 +69,24 @@ def test_lower_bound_across_catalog_dimensions():
 def test_lower_bound_matches_rational_reference():
     for r in range(1, 7):
         for d in range(r, 201):
-            assert lower_bound(d, r) == rational_lower_bound(d, r)
+            assert lower_bound(d, r) == ceil(morrison_noel(d, r))
+
+
+def test_histogram_equation_gives_every_catalog_histogram():
+    # a labeling of Q_k whose histogram solves the equation makes every product over
+    # Morrison-Noel-sized children Morrison-Noel-sized; the solution sums to MN(k, r)
+    expected = {(k, len(h)): h for k, h in CATALOG_HISTOGRAMS.items()}
+    expected[8, 4] = (14, 14, 6, 1)  # the missing Q_8 labeling behind the d = 20 gap
+    expected[10, 5] = (42, 48, 27, 8, 1)
+    for (k, r), histogram in expected.items():
+        solution = histogram_solution(k, r)
+        assert solution == histogram, (k, r)
+        assert sum(solution) == morrison_noel(k, r)
+        far = k + 3 * r  # an identity in d, not just at the sample points
+        assert sum(h * morrison_noel(far - k, i) for i, h in enumerate(solution, 1)) == (
+            morrison_noel(far, r))
+    for r in range(2, 7):  # k = r: the binomial histogram of the closed-form labeling
+        assert histogram_solution(r, r) == tuple(comb(r - 1, i) for i in range(r))
 
 
 def test_lower_bound_domain():

@@ -469,6 +469,15 @@ def test_meta_verify_label_above_r(capsys, tmp_path):
     assert "label" in err
 
 
+def test_meta_verify_checks_the_threshold_before_the_file(capsys, tmp_path):
+    # a threshold below 1 gets the message every command prints, not a label-range error
+    path = tmp_path / "l3.lab"
+    path.write_text(format_labeling(catalog_labeling(3)))
+    for r in ("0", "-1"):
+        code, out, err = run(capsys, "meta-verify", "--labeling", str(path), "--k", "3", "--r", r)
+        assert (code, out, err) == (2, "", f"error: threshold must be a positive integer, got {r}\n")
+
+
 def test_bound_text_and_json(capsys):
     code, out, _ = run(capsys, "bound", "--d", "10", "--r", "4")
     assert code == 0

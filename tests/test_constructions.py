@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -259,18 +260,53 @@ def test_catalog_assets_are_checked_against_their_tables(monkeypatch):
     # refused.  __wrapped__ is the uncached loader, so the process-wide caches stay clean
     from hqperc import constructions
 
-    texts = {"s4_d5.set": "00000\n", "meta_l3.lab": "000 3\n110 2\n011 1\n"}
+    texts = {"s4_d5.set": "00000\n", "meta_l4.lab": "0000 4\n1100 3\n"}
     monkeypatch.setattr(constructions, "_asset_text", texts.__getitem__)
     with pytest.raises(DomainError) as seed_error:
         constructions._catalog.__wrapped__(4, 5)
     assert str(seed_error.value) == "catalog seed s4_d5 has 1 vertices, expected 14"
     with pytest.raises(DomainError) as labeling_error:
-        constructions.catalog_labeling.__wrapped__(3)
+        constructions.catalog_labeling.__wrapped__(4)
     assert str(labeling_error.value) == (
-        "catalog labeling meta_l3 has histogram (1, 1, 1), expected (1, 2, 1)"
+        "catalog labeling meta_l4 has histogram (0, 0, 1, 1), expected (1, 3, 3, 1)"
     )
     monkeypatch.undo()
-    assert len(catalog_seed(5)) == 14 and catalog_labeling(3).histogram() == (1, 2, 1)
+    assert len(catalog_seed(5)) == 14 and catalog_labeling(4).histogram() == (1, 3, 3, 1)
+
+
+def test_closed_form_reproduces_the_former_asset_files():
+    # meta_l3.lab, s3_d3.set and s4_d4.set as they were shipped, byte for byte
+    from hqperc import parse_labeling, parse_vertex_set
+
+    meta_l3 = (
+        "# 3-meta labeling of Q_3\n# expected-size: 4\n# k: 3\n# r: 3\n"
+        "000 3\n110 2\n011 2\n101 1\n"
+    )
+    s3_d3 = (
+        "# 3-neighbour seed, d=3 (even-weight vertices)\n# expected-size: 4\n"
+        "000\n110\n101\n011\n"
+    )
+    s4_d4 = (
+        "# 4-neighbour seed, d=4 (even-weight vertices)\n# expected-size: 8\n"
+        "0000\n1100\n1010\n0110\n1001\n0101\n0011\n1111\n"
+    )
+    assert catalog_labeling(3) == parse_labeling(meta_l3, 3, 3)
+    assert seed_r3(3) == parse_vertex_set(s3_d3, 3)
+    assert catalog_seed(4) == parse_vertex_set(s4_d4, 4)
+
+
+def test_closed_form_meta_percolates_on_an_even_weight_support():
+    from hqperc import lower_bound, meta_percolates
+    from hqperc.constructions import _binomial
+
+    for r in range(2, 15):
+        labeling = _binomial(r)
+        assert labeling.histogram() == tuple(comb(r - 1, i) for i in range(r))
+        assert meta_percolates(labeling), r
+        support = VertexSet.of(r, (v for v, label in enumerate(labeling.labels) if label))
+        assert support == VertexSet.of(r, (v for v in range(1 << r) if v.bit_count() % 2 == 0))
+        assert len(support) == lower_bound(r, r) == 1 << (r - 1)
+        assert percolates(support, r)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

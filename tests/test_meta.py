@@ -176,6 +176,20 @@ def test_schedule_confluence_on_random_labelings():
             assert schedule_oracle(lab, schedule) == target
 
 
+def test_support_of_a_meta_percolating_labeling_percolates():
+    # the support lemma: a vertex gains a nonzero label only with r nonzero neighbours
+    rng = random.Random(18)
+    hits = 0
+    for _ in range(1000):
+        k, r = rng.choice((4, 5)), rng.randint(2, 4)
+        lab = random_labeling(rng, k, r)
+        if meta_percolates(lab):
+            hits += 1
+            support = VertexSet.of(k, (v for v, label in enumerate(lab.labels) if label))
+            assert percolates(support, r), lab
+    assert hits > 300
+
+
 def test_two_valued_labelings_specialize_to_plain_bootstrap():
     # labels in {0, r}: the meta process is the r-neighbour process on the label-r set
     for k in (1, 2, 3):
